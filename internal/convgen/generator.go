@@ -334,22 +334,20 @@ func (g *Generator) convolveFFTPad(nx, ny int, ar *genArena, i0, j0 int64, worke
 	spec := ar.spec
 	pad := ar.pad
 
-	// Noise rows go straight into the padded workspace; the padding is
-	// re-zeroed because the arena still holds the previous call's
-	// inverse output.
-	par.For(py, workers, func(lo, hi int) {
+	// Noise rows go straight into the padded workspace; their column
+	// padding is re-zeroed because the arena still holds the previous
+	// call's inverse output. Rows at and beyond wy are zero padding: the
+	// row-bounded forward never reads them, and the row-bounded inverse
+	// writes only the ny rows extracted below.
+	par.For(wy, workers, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			row := pad[j*px : (j+1)*px]
-			if j < wy {
-				g.field.FillRow(row[:wx], i0-int64(k.CX), j0-int64(k.CY)+int64(j))
-				clear(row[wx:])
-			} else {
-				clear(row)
-			}
+			g.field.FillRow(row[:wx], i0-int64(k.CX), j0-int64(k.CY)+int64(j))
+			clear(row[wx:])
 		}
 	})
 
-	plan.ForwardReal(spec, pad)
+	plan.ForwardRealRows(spec, pad, wy)
 	tHat := g.cachedTapsHat(plan, px, py)
 	par.For(len(spec), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -357,7 +355,7 @@ func (g *Generator) convolveFFTPad(nx, ny int, ar *genArena, i0, j0 int64, worke
 			spec[i] *= complex(real(t), -imag(t))
 		}
 	})
-	plan.InverseRealTo(pad, spec)
+	plan.InverseRealRowsTo(pad, spec, ny)
 	return pad, px
 }
 

@@ -89,15 +89,3 @@ func TestGenerateAtIntoPanics(t *testing.T) {
 		})
 	}
 }
-
-// TestHalfExtents covers centered and cropped (asymmetric) kernels.
-func TestHalfExtents(t *testing.T) {
-	k := &Kernel{Nx: 7, Ny: 5, CX: 2, CY: 1, Dx: 0.5, Dy: 2, Taps: make([]float64, 35)}
-	ex, ey := k.HalfExtents()
-	if !approx.Exact(ex, 2) { // max(2, 4)·0.5
-		t.Errorf("ex = %g, want 2", ex)
-	}
-	if !approx.Exact(ey, 6) { // max(1, 3)·2
-		t.Errorf("ey = %g, want 6", ey)
-	}
-}

@@ -148,22 +148,6 @@ func MustDesign(s spectrum.Spectrum, dx, dy, spanCL, eps float64) *Kernel {
 	return k
 }
 
-// HalfExtents reports the kernel's physical half-extents: the largest
-// lattice reach from the zero-lag tap along each axis, times the sample
-// spacing. A generated sample depends on noise no farther than (±ex,
-// ±ey) away; sparse schedulers dilate support queries by these.
-func (k *Kernel) HalfExtents() (ex, ey float64) {
-	rx := k.CX
-	if r := k.Nx - 1 - k.CX; r > rx {
-		rx = r
-	}
-	ry := k.CY
-	if r := k.Ny - 1 - k.CY; r > ry {
-		ry = r
-	}
-	return float64(rx) * k.Dx, float64(ry) * k.Dy
-}
-
 // Energy returns Σ taps², the height variance the kernel produces on
 // unit white noise (≈ h²).
 func (k *Kernel) Energy() float64 {

@@ -92,9 +92,12 @@ func (p *Plan) ForwardReal(dst []complex128, src []float64) {
 	dst[h] = complex(real(z0)-imag(z0), 0)
 	dst[0] = complex(real(z0)+imag(z0), 0)
 	for k, kr := 1, h-1; k <= kr; k, kr = k+1, kr-1 {
+		// E and d = (Z[k] − conj(Z[h−k]))/2 by exact real halving:
+		// complex division by 2 would call the runtime's Smith
+		// division, which reduces to the same halving at far more cost.
 		zk, zr := z[k], z[kr]
-		e := (zk + conj(zr)) / 2
-		d := (zk - conj(zr)) / 2
+		e := complex((real(zk)+real(zr))/2, (imag(zk)-imag(zr))/2)
+		d := complex((real(zk)-real(zr))/2, (imag(zk)+imag(zr))/2)
 		o := complex(imag(d), -real(d)) // O[k] = −j·d
 		t := r.tw[k] * o
 		dst[k] = e + t
@@ -194,17 +197,29 @@ func (p *Plan2D) HalfNx() int { return p.nx/2 + 1 }
 // row-major. The full spectrum is implied by the 2D Hermitian symmetry
 // F[nx−kx, (ny−ky) mod ny] = conj(F[kx, ky]). src is not modified.
 func (p *Plan2D) ForwardReal(dst []complex128, src []float64) {
+	p.ForwardRealRows(dst, src, p.ny)
+}
+
+// ForwardRealRows is ForwardReal for an input whose rows at and beyond
+// rows are zero: only src rows [0, rows) are read, and the row pass
+// clears the zero rows' spectrum rows instead of transforming them.
+// The column pass then sees the same values ForwardReal would give it
+// (a zero row transforms to zeros), so the result is equal value for
+// value while a zero-padded convolution skips most of its row work.
+func (p *Plan2D) ForwardRealRows(dst []complex128, src []float64, rows int) {
 	hx := p.HalfNx()
 	if len(src) != p.nx*p.ny || len(dst) != hx*p.ny {
 		panic(fmt.Sprintf("fft: 2D ForwardReal length mismatch: plan %dx%d, dst %d, src %d",
 			p.nx, p.ny, len(dst), len(src)))
 	}
+	p.checkRows(rows)
 	workers := p.workerBound()
-	par.For(p.ny, workers, func(lo, hi int) {
+	par.For(rows, workers, func(lo, hi int) {
 		for iy := lo; iy < hi; iy++ {
 			p.px.ForwardReal(dst[iy*hx:(iy+1)*hx], src[iy*p.nx:(iy+1)*p.nx])
 		}
 	})
+	clear(dst[rows*hx:])
 	p.colPass(dst, hx, false, workers)
 }
 
@@ -212,26 +227,42 @@ func (p *Plan2D) ForwardReal(dst []complex128, src []float64) {
 // 1/(nx·ny) factor) of the Hermitian half-spectrum src into dst
 // (nx×ny). src is consumed: it is overwritten as column workspace.
 func (p *Plan2D) InverseRealTo(dst []float64, src []complex128) {
-	p.inverseReal(dst, src, 1/float64(p.nx*p.ny))
+	p.inverseReal(dst, src, 1/float64(p.nx*p.ny), p.ny)
+}
+
+// InverseRealRowsTo is InverseRealTo for a caller that reads only dst
+// rows [0, rows): the final row pass runs over those rows alone and
+// leaves the rest of dst untouched. Each output row depends only on its
+// own column-pass row, so the rows written equal InverseRealTo's value
+// for value. src is consumed.
+func (p *Plan2D) InverseRealRowsTo(dst []float64, src []complex128, rows int) {
+	p.inverseReal(dst, src, 1/float64(p.nx*p.ny), rows)
 }
 
 // InverseRealUnscaledTo is InverseRealTo without the 1/(nx·ny) factor.
 // src is consumed.
 func (p *Plan2D) InverseRealUnscaledTo(dst []float64, src []complex128) {
-	p.inverseReal(dst, src, 1)
+	p.inverseReal(dst, src, 1, p.ny)
 }
 
-func (p *Plan2D) inverseReal(dst []float64, src []complex128, scale float64) {
+func (p *Plan2D) inverseReal(dst []float64, src []complex128, scale float64, rows int) {
 	hx := p.HalfNx()
 	if len(dst) != p.nx*p.ny || len(src) != hx*p.ny {
 		panic(fmt.Sprintf("fft: 2D InverseRealTo length mismatch: plan %dx%d, dst %d, src %d",
 			p.nx, p.ny, len(dst), len(src)))
 	}
+	p.checkRows(rows)
 	workers := p.workerBound()
 	p.colPass(src, hx, true, workers)
-	par.For(p.ny, workers, func(lo, hi int) {
+	par.For(rows, workers, func(lo, hi int) {
 		for iy := lo; iy < hi; iy++ {
 			p.px.inverseReal(dst[iy*p.nx:(iy+1)*p.nx], src[iy*hx:(iy+1)*hx], scale)
 		}
 	})
+}
+
+func (p *Plan2D) checkRows(rows int) {
+	if rows < 0 || rows > p.ny {
+		panic(fmt.Sprintf("fft: row bound %d outside [0, %d]", rows, p.ny))
+	}
 }

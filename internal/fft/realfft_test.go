@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"roughsurface/internal/approx"
 	"roughsurface/internal/rng"
 )
 
@@ -209,6 +210,67 @@ func TestInverseRealUnscaled2DMatchesComplex(t *testing.T) {
 		if e > 1e-10*float64(n) {
 			t.Errorf("%dx%d: 2D unscaled inverse err %g", c.nx, c.ny, e)
 		}
+	}
+}
+
+// TestRowBoundedRealMatchesFull: on inputs whose rows at and beyond
+// the bound are zero, the row-bounded forward equals ForwardReal value
+// for value, and the row-bounded inverse writes exactly InverseRealTo's
+// rows below the bound and leaves the rest of dst untouched.
+func TestRowBoundedRealMatchesFull(t *testing.T) {
+	for _, c := range []struct{ nx, ny int }{{64, 32}, {16, 8}, {12, 10}, {8, 1}, {1, 8}} {
+		p := MustPlan2D(c.nx, c.ny)
+		hx := p.HalfNx()
+		for _, rows := range []int{1, c.ny / 2, c.ny - 1, c.ny} {
+			if rows < 1 {
+				continue
+			}
+			src := realSeq(c.nx*c.ny, uint64(c.nx*131+rows))
+			clear(src[rows*c.nx:])
+			want := make([]complex128, hx*c.ny)
+			p.ForwardReal(want, src)
+			got := make([]complex128, hx*c.ny)
+			for i := range got {
+				got[i] = complex(math.NaN(), math.NaN()) // stale workspace
+			}
+			p.ForwardRealRows(got, src, rows)
+			for i := range want {
+				if !approx.ExactC(got[i], want[i]) {
+					t.Fatalf("%dx%d rows=%d: forward bin %d = %v, want %v", c.nx, c.ny, rows, i, got[i], want[i])
+				}
+			}
+
+			full := make([]float64, c.nx*c.ny)
+			p.InverseRealTo(full, append([]complex128(nil), want...))
+			part := make([]float64, c.nx*c.ny)
+			for i := range part {
+				part[i] = 7
+			}
+			p.InverseRealRowsTo(part, want, rows)
+			for i := range part {
+				w := full[i]
+				if i >= rows*c.nx {
+					w = 7
+				}
+				if !approx.Exact(part[i], w) {
+					t.Fatalf("%dx%d rows=%d: inverse sample %d = %v, want %v", c.nx, c.ny, rows, i, part[i], w)
+				}
+			}
+		}
+	}
+}
+
+func TestRowBoundPanicsOutOfRange(t *testing.T) {
+	p := MustPlan2D(8, 4)
+	for _, rows := range []int{-1, 5} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("rows=%d: want panic", rows)
+				}
+			}()
+			p.ForwardRealRows(make([]complex128, 20), make([]float64, 32), rows)
+		}()
 	}
 }
 

@@ -64,21 +64,10 @@ type Generator struct {
 
 	dx, dy float64
 
-	// extGroups partitions the components by kernel half-extent so each
-	// distinct dilation costs one SupportMask query per tile.
-	extGroups []extentGroup
-
 	// arenas pools the per-tile scratch (active component fields and
 	// the weight vector) so the sparse path allocates nothing per tile
 	// in steady state beyond the returned grid.
 	arenas sync.Pool
-}
-
-// extentGroup is the set of component indices whose kernels share the
-// physical half-extent (ex, ey).
-type extentGroup struct {
-	ex, ey float64
-	comps  []int
 }
 
 // tileArena is one worker's scratch for rendering a multi-active tile.
@@ -119,28 +108,14 @@ func NewGenerator(kernels []*convgen.Kernel, blender Blender, seed uint64) (*Gen
 	}
 	dx, dy := kernels[0].Dx, kernels[0].Dy
 	convs := make([]*convgen.Generator, len(kernels))
-	var groups []extentGroup
 	for i, k := range kernels {
 		if !approx.Exact(k.Dx, dx) || !approx.Exact(k.Dy, dy) {
 			return nil, fmt.Errorf("inhomo: kernel %d spacing (%g,%g) differs from (%g,%g)",
 				i, k.Dx, k.Dy, dx, dy)
 		}
 		convs[i] = convgen.NewGenerator(k, seed) // same seed → same noise field
-		ex, ey := k.HalfExtents()
-		placed := false
-		for gi := range groups {
-			if approx.Exact(groups[gi].ex, ex) && approx.Exact(groups[gi].ey, ey) {
-				groups[gi].comps = append(groups[gi].comps, i)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			groups = append(groups, extentGroup{ex: ex, ey: ey, comps: []int{i}})
-		}
 	}
-	g := &Generator{kernels: kernels, convs: convs, blender: blender, seed: seed,
-		dx: dx, dy: dy, extGroups: groups}
+	g := &Generator{kernels: kernels, convs: convs, blender: blender, seed: seed, dx: dx, dy: dy}
 	g.arenas.New = func() any { return &tileArena{} }
 	return g, nil
 }
@@ -214,33 +189,29 @@ func (g *Generator) tileSize() int {
 	return defaultTileSize
 }
 
-// tileMasks computes the per-tile active-component masks. Each
-// component is queried over the tile's physical rectangle dilated by
-// that component's kernel half-extent (belt-and-braces conservatism;
-// the pointwise blend algebra needs no dilation — see DESIGN.md §9),
-// with one SupportMask call per distinct half-extent.
+// tileMasks computes the per-tile active-component masks, one query
+// per tile over the tile's own sample rectangle. The blend
+// f = Σ_m g_m·F_m is pointwise, so a component is needed exactly where
+// its weight is nonzero on the tile's samples (DESIGN.md §9). Both
+// corners come from blendRows' coordinate expression, so no sample the
+// blend evaluates lies an ulp outside the queried rectangle.
 func (g *Generator) tileMasks(tiles []grid.Tile, i0, j0 int64) [][]bool {
 	sm, _ := g.blender.(SupportMasker)
 	masks := make([][]bool, len(tiles))
 	slab := make([]bool, len(tiles)*len(g.kernels))
 	for t, tile := range tiles {
-		x0 := float64(i0+int64(tile.X0)) * g.dx
-		y0 := float64(j0+int64(tile.Y0)) * g.dy
-		x1 := x0 + float64(tile.Nx-1)*g.dx
-		y1 := y0 + float64(tile.Ny-1)*g.dy
-		mask := slab[t*len(g.kernels) : (t+1)*len(g.kernels)]
-		for _, grp := range g.extGroups {
-			var qm []bool
-			if sm != nil {
-				qm = sm.SupportMask(x0-grp.ex, y0-grp.ey, x1+grp.ex, y1+grp.ey)
-			} else {
-				qm = sampleSupportMask(g.blender, x0-grp.ex, y0-grp.ey, x1+grp.ex, y1+grp.ey)
-			}
-			for _, m := range grp.comps {
-				mask[m] = qm[m]
-			}
+		ti0, tj0 := i0+int64(tile.X0), j0+int64(tile.Y0)
+		x0, y0 := float64(ti0)*g.dx, float64(tj0)*g.dy
+		x1 := float64(ti0+int64(tile.Nx-1)) * g.dx
+		y1 := float64(tj0+int64(tile.Ny-1)) * g.dy
+		var qm []bool
+		if sm != nil {
+			qm = sm.SupportMask(x0, y0, x1, y1)
+		} else {
+			qm = sampleSupportMask(g.blender, x0, y0, x1, y1)
 		}
-		masks[t] = mask
+		masks[t] = slab[t*len(g.kernels) : (t+1)*len(g.kernels)]
+		copy(masks[t], qm)
 	}
 	return masks
 }

@@ -2,7 +2,11 @@ package inhomo
 
 import (
 	"math"
+	"sync"
 	"testing"
+
+	"roughsurface/internal/convgen"
+	"roughsurface/internal/spectrum"
 )
 
 // orderRect normalizes a fuzzed rectangle to x0 <= x1, y0 <= y1.
@@ -187,5 +191,81 @@ func TestSampleSupportMaskFindsSampledSupport(t *testing.T) {
 	b := dense.GenerateAt(-24, -24, 48, 48)
 	if d := a.MaxAbsDiff(b); d > 1e-12 {
 		t.Errorf("tiled-with-sampled-masks deviates from dense by %g", d)
+	}
+}
+
+// recordingMasker wraps a PlateBlender and records every SupportMask
+// rectangle and every BlendWeights sample point it is asked for.
+type recordingMasker struct {
+	*PlateBlender
+	mu     sync.Mutex
+	rects  [][4]float64
+	points [][2]float64
+}
+
+func (r *recordingMasker) SupportMask(x0, y0, x1, y1 float64) []bool {
+	r.mu.Lock()
+	r.rects = append(r.rects, [4]float64{x0, y0, x1, y1})
+	r.mu.Unlock()
+	return r.PlateBlender.SupportMask(x0, y0, x1, y1)
+}
+
+func (r *recordingMasker) BlendWeights(w []float64, x, y float64) {
+	r.mu.Lock()
+	r.points = append(r.points, [2]float64{x, y})
+	r.mu.Unlock()
+	r.PlateBlender.BlendWeights(w, x, y)
+}
+
+// TestTileMasksCoverBlendSamples: every sample the blend evaluates lies
+// inside the rectangle its tile's mask was queried over. At dx = 0.1
+// the tiles starting at lattice −16 have x0+15·dx < float64(−1)·dx, so a
+// far edge built by adding the tile extent to the near edge would leave
+// their last sample an ulp outside the queried rectangle.
+func TestTileMasksCoverBlendSamples(t *testing.T) {
+	const dx = 0.1
+	if x0 := float64(-16) * dx; !(x0+15*dx < float64(-1)*dx) {
+		t.Fatal("spacing no longer exposes the far-edge rounding gap")
+	}
+	mk := func(s spectrum.Spectrum) *convgen.Kernel {
+		k, err := convgen.Design(s, dx, dx, 6, 1e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	ks := []*convgen.Kernel{
+		mk(spectrum.MustGaussian(1, 0.3, 0.3)),
+		mk(spectrum.MustExponential(2, 0.4, 0.4)),
+	}
+	inf := math.Inf(1)
+	for _, f32 := range []bool{false, true} {
+		rec := &recordingMasker{PlateBlender: mustPlateBlender(t, []Region{
+			Rect{X0: -inf, Y0: -inf, X1: 0, Y1: inf, T: 0.5},
+			Rect{X0: 0, Y0: -inf, X1: inf, Y1: inf, T: 0.5},
+		})}
+		gen := MustGenerator(ks, rec, 3)
+		gen.Engine = EngineTiled
+		gen.TileSize = 16
+		if f32 {
+			gen.GenerateAt32(-32, -32, 64, 64)
+		} else {
+			gen.GenerateAt(-32, -32, 64, 64)
+		}
+		if len(rec.points) == 0 {
+			t.Fatal("no tile ran the blend")
+		}
+		for _, p := range rec.points {
+			inside := false
+			for _, r := range rec.rects {
+				if p[0] >= r[0] && p[0] <= r[2] && p[1] >= r[1] && p[1] <= r[3] {
+					inside = true
+					break
+				}
+			}
+			if !inside {
+				t.Fatalf("f32=%v: blend sample (%v, %v) lies outside every queried rectangle", f32, p[0], p[1])
+			}
+		}
 	}
 }

@@ -141,9 +141,9 @@ func TestSharedMaskDetectsUniformity(t *testing.T) {
 		t.Errorf("shared mask = %v, want only component 2", shared)
 	}
 
-	// The seam window must be wide enough that edge tiles escape the
-	// seams even after dilation by the kernel half-extents (~30 units
-	// for the cl=5 exponential component here).
+	// Masks cover each tile's own samples, with no dilation by the
+	// kernel reach: the edge tiles of this window lie inside one strip
+	// each, while the tiles over x = ±8 straddle a transition band.
 	seam := MustGenerator(ks, tiledBlenders(t)["plate"].(*PlateBlender), 1)
 	wide := grid.Tiling(160, 48, 16, 16)
 	if sharedMask(seam.tileMasks(wide, -80, -24)) != nil {

@@ -218,6 +218,17 @@ func TestAllChecksOnFixtureTree(t *testing.T) {
 	}
 }
 
+// TestExternalTestSeesOneIdentity: an external test package that
+// imports its package both directly and through a dependent package
+// type-checks, with export_test.go helpers still in scope — the
+// dependent is re-checked against the package under test, as the go
+// tool recompiles it for the test.
+func TestExternalTestSeesOneIdentity(t *testing.T) {
+	if got := fixtureRun(t, "xtest", "floatcmp"); len(got) != 0 {
+		t.Errorf("findings %v, want none", got)
+	}
+}
+
 // TestUnknownCheckRejected guards the CLI's -checks plumbing.
 func TestUnknownCheckRejected(t *testing.T) {
 	_, err := lint.Run(lint.Config{

@@ -32,6 +32,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -125,6 +126,21 @@ func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 	l.loading[path] = true
 	defer delete(l.loading, path)
 
+	compiled, err := l.compiledFiles(rel, path)
+	if err != nil {
+		return nil, err
+	}
+	pkg, _, err := l.typeCheck(path, compiled, l, false)
+	if err != nil {
+		return nil, err
+	}
+	l.memo[path] = pkg
+	return pkg, nil
+}
+
+// compiledFiles returns the non-test files of the module package at
+// module-relative directory rel (import path path).
+func (l *loader) compiledFiles(rel, path string) ([]*ast.File, error) {
 	files, err := l.parseDir(rel)
 	if err != nil {
 		return nil, err
@@ -138,12 +154,36 @@ func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 	if len(compiled) == 0 {
 		return nil, fmt.Errorf("lint: no non-test Go files for import %q", path)
 	}
-	pkg, _, err := l.typeCheck(path, compiled, l, false)
-	if err != nil {
-		return nil, err
+	return compiled, nil
+}
+
+// imports reports whether the module package path imports target,
+// directly or through other module packages, in its non-test files.
+func (l *loader) imports(path, target string, seen map[string]bool) (bool, error) {
+	rel, ok := l.moduleRel(path)
+	if !ok || seen[path] {
+		return false, nil
 	}
-	l.memo[path] = pkg
-	return pkg, nil
+	seen[path] = true
+	files, err := l.compiledFiles(rel, path)
+	if err != nil {
+		return false, err
+	}
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			dep, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				return false, err
+			}
+			if dep == target {
+				return true, nil
+			}
+			if found, err := l.imports(dep, target, seen); found || err != nil {
+				return found, err
+			}
+		}
+	}
+	return false, nil
 }
 
 // parseDir parses every .go file in the module-relative directory rel,
@@ -237,11 +277,15 @@ func (l *loader) typeCheck(path string, files []*ast.File, imp types.ImporterFro
 
 // override resolves one import path to a fixed package (the merged
 // package-under-test for external _test units) and defers everything
-// else to the loader.
+// else to the loader — except module packages that themselves import
+// the package under test. Like the go tool, which recompiles those for
+// the test, it re-checks them against the fixed package, so one
+// identity of the package under test flows through the whole unit.
 type override struct {
 	l    *loader
 	path string
 	pkg  *types.Package
+	memo map[string]*types.Package // re-checked dependents of path
 }
 
 func (o override) Import(path string) (*types.Package, error) {
@@ -252,7 +296,27 @@ func (o override) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pa
 	if path == o.path {
 		return o.pkg, nil
 	}
-	return o.l.ImportFrom(path, dir, mode)
+	if pkg, ok := o.memo[path]; ok {
+		return pkg, nil
+	}
+	dependent, err := o.l.imports(path, o.path, map[string]bool{})
+	if err != nil {
+		return nil, err
+	}
+	if !dependent {
+		return o.l.ImportFrom(path, dir, mode)
+	}
+	rel, _ := o.l.moduleRel(path)
+	files, err := o.l.compiledFiles(rel, path)
+	if err != nil {
+		return nil, err
+	}
+	pkg, _, err := o.l.typeCheck(path, files, o, false)
+	if err != nil {
+		return nil, err
+	}
+	o.memo[path] = pkg
+	return pkg, nil
 }
 
 // discoverDirs lists every module-relative directory containing Go
@@ -376,7 +440,7 @@ func (l *loader) units(patterns []string) ([]*Unit, error) {
 			}
 			var imp types.ImporterFrom = l
 			if primaryUnit != nil {
-				imp = override{l: l, path: path, pkg: primaryUnit.Pkg}
+				imp = override{l: l, path: path, pkg: primaryUnit.Pkg, memo: map[string]*types.Package{}}
 			}
 			pkg, info, err := l.typeCheck(path+"_test", asts, imp, true)
 			if err != nil {

@@ -234,10 +234,16 @@ func TestPrefetchSaturationKeepsForegroundFast(t *testing.T) {
 	// Pay one-time kernel design before measuring latencies.
 	getTile(t, ts, "/v1/scene/"+id+"/tile/1/100,100?seed=1")
 
+	// The warm-up tile queued prefetches of its own neighbours; jam the
+	// worker once the one-slot queue has room, behind them.
 	block := make(chan struct{})
 	started := make(chan struct{})
-	if !s.prefetch.TrySubmit(func() { close(started); <-block }) {
-		t.Fatal("failed to occupy the prefetch worker")
+	deadline := time.Now().Add(10 * time.Second)
+	for !s.prefetch.TrySubmit(func() { close(started); <-block }) {
+		if time.Now().After(deadline) {
+			t.Fatal("failed to occupy the prefetch worker")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	<-started
 	if !s.prefetch.TrySubmit(func() {}) {

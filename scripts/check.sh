@@ -82,7 +82,7 @@ step_end
 step_begin "cross-compile (arm64) + noasm fallback tests"
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/simd
-go test -tags noasm ./internal/simd ./internal/convgen
+go test -tags noasm ./internal/simd ./internal/convgen ./internal/fft ./internal/inhomo
 step_end
 
 step_begin "rrslint (findings -> $LINT_JSON, SARIF -> $LINT_SARIF)"
