@@ -21,18 +21,18 @@ import (
 // precisions (DESIGN.md §13); the float64 instantiation is therefore
 // byte-compatible with the pre-SIMD reference engine.
 //
-// macRow is passed in (simd.MacRow32 or simd.MacRow64, the monomorphic
-// wrappers) rather than dispatched on F, so the hot loop performs no
-// interface boxing.
-func convDirect[F simd.Float](dst []F, stride, nx, ny int, taps []F, knx, kny int,
-	noise []F, wx int, macRow func(taps, noise, dst []F), workers int) {
+// The taps and MAC-row kernel come from the call's lane (the float32
+// or float64 simd wrapper, picked once per call), so the hot loop
+// performs no interface boxing.
+func convDirect[F simd.Float](g *Generator, l *lane[F], dst []F, stride, nx, ny int, noise []F, wx, workers int) {
+	knx, kny := g.kernel.Nx, g.kernel.Ny
 	par.For(ny, workers, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			row := dst[j*stride : j*stride+nx]
 			clear(row)
 			for b := 0; b < kny; b++ {
 				off := (j + b) * wx
-				macRow(taps[b*knx:(b+1)*knx], noise[off:off+knx-1+nx], row)
+				l.macRow(l.taps[b*knx:(b+1)*knx], noise[off:off+knx-1+nx], row)
 			}
 		}
 	})

@@ -56,56 +56,79 @@ type Generator struct {
 	// LRU) so mixed-size tiled workloads cannot grow it without limit.
 	tapsHat tapsCache
 
-	// arenas pools the per-call scratch buffers (noise window, padded
-	// real workspace, half-spectrum). A pool rather than one owned
-	// buffer keeps concurrent GenerateAt calls on a shared Generator
-	// correct while still reaching zero steady-state allocations.
-	arenas sync.Pool
+	// f64 and f32 are the two render precisions' state: the kernel taps
+	// at that precision, its MAC-row kernel and noise-row fill, and a
+	// pool of per-call scratch. A render picks its lane once per call
+	// (laneOf), so the generic loops below dispatch nothing per row, and
+	// a pool rather than one owned buffer keeps concurrent calls on a
+	// shared Generator correct while still reaching zero steady-state
+	// allocations. The float32 taps are the kernel narrowed at
+	// construction; they live on the Generator, not the Kernel, because
+	// Kernel is a mutable exported value type while a Generator's kernel
+	// is fixed.
+	f64 lane[float64]
+	f32 lane[float32]
+}
 
-	// taps32 is the kernel narrowed to float32, built once on first use
-	// of the f32 render path. It lives on the Generator, not the Kernel:
-	// Kernel is a mutable exported value type, while a Generator's
-	// kernel is fixed at construction, which makes the cache safe.
-	taps32     []float32
-	taps32Once sync.Once
+// lane is one render precision's per-generator state; see Generator.
+type lane[F simd.Float] struct {
+	taps   []F
+	macRow func(taps, noise, dst []F)
+	fill   func(f rng.Field, dst []F, i0, j int64)
+	arenas sync.Pool // *genArena[F]
+}
+
+func (l *lane[F]) init(taps []F, macRow func(taps, noise, dst []F), fill func(rng.Field, []F, int64, int64)) {
+	l.taps, l.macRow, l.fill = taps, macRow, fill
+	l.arenas.New = func() any { return &genArena[F]{} }
+}
+
+// laneOf returns g's state for render precision F.
+func laneOf[F simd.Float](g *Generator) *lane[F] {
+	if l, ok := any(&g.f32).(*lane[F]); ok {
+		return l
+	}
+	return any(&g.f64).(*lane[F])
 }
 
 // genArena is one call's worth of scratch. Buffers grow to the largest
 // geometry seen and are reused across calls.
-type genArena struct {
-	noise   []float64    // direct engine: wx×wy noise window
-	noise32 []float32    // f32 direct engine: wx×wy noise window
-	pad     []float64    // fft engine: px×py padded real workspace
-	spec    []complex128 // fft engine: (px/2+1)×py half-spectrum
+type genArena[F simd.Float] struct {
+	noise []F // direct engine: wx×wy noise window
+	fftScratch
 }
 
-// growF returns buf resliced to n, reallocating only when capacity is
+// fftScratch is the FFT engine's workspace, float64 at both precisions.
+type fftScratch struct {
+	pad  []float64    // px×py padded real workspace
+	spec []complex128 // (px/2+1)×py half-spectrum
+}
+
+// grow returns buf resliced to n, reallocating only when capacity is
 // insufficient.
-func growF(buf []float64, n int) []float64 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]float64, n)
+	return make([]T, n)
 }
 
-func growC(buf []complex128, n int) []complex128 {
-	if cap(buf) >= n {
-		return buf[:n]
+// convert writes src into dst at precision F: a copy for float64, one
+// round-to-nearest per sample for float32 (the only narrowing the
+// pipeline performs). Lengths must match.
+func convert[F simd.Float](dst []F, src []float64) {
+	for i, v := range src {
+		dst[i] = F(v)
 	}
-	return make([]complex128, n)
-}
-
-func grow32(buf []float32, n int) []float32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float32, n)
 }
 
 // NewGenerator wraps a kernel and a noise field seed.
 func NewGenerator(k *Kernel, seed uint64) *Generator {
 	g := &Generator{kernel: k, field: rng.NewField(seed)}
-	g.arenas.New = func() any { return &genArena{} }
+	taps32 := make([]float32, len(k.Taps))
+	convert(taps32, k.Taps)
+	g.f64.init(k.Taps, simd.MacRow64, rng.Field.FillRow)
+	g.f32.init(taps32, simd.MacRow32, rng.Field.FillRow32)
 	return g
 }
 
@@ -140,26 +163,7 @@ func (g *Generator) GenerateAt(i0, j0 int64, nx, ny int) *grid.Grid {
 // the generator's arena pool, so the call itself allocates nothing in
 // steady state.
 func (g *Generator) GenerateAtInto(dst []float64, stride int, i0, j0 int64, nx, ny, workers int) {
-	if nx < 1 || ny < 1 {
-		panic(fmt.Sprintf("convgen: invalid window %dx%d", nx, ny))
-	}
-	if stride < nx {
-		panic(fmt.Sprintf("convgen: stride %d below window width %d", stride, nx))
-	}
-	if need := stride*(ny-1) + nx; len(dst) < need {
-		panic(fmt.Sprintf("convgen: destination holds %d samples, window needs %d", len(dst), need))
-	}
-	if workers == 0 {
-		workers = g.Workers
-	}
-	ar := g.arenas.Get().(*genArena)
-	switch g.engineFor(nx, ny) {
-	case EngineDirect:
-		g.convolveDirect(dst, stride, nx, ny, ar, i0, j0, workers)
-	case EngineFFT:
-		g.convolveFFT(dst, stride, nx, ny, ar, i0, j0, workers)
-	}
-	g.arenas.Put(ar)
+	RenderInto(g, dst, stride, i0, j0, nx, ny, workers)
 }
 
 // GenerateAtInto32 is GenerateAtInto rendering in float32 — the serving
@@ -174,26 +178,47 @@ func (g *Generator) GenerateAtInto(dst []float64, stride int, i0, j0 int64, nx, 
 // narrowed. All other semantics (row placement, caller ownership,
 // worker bounding, pooled scratch) match GenerateAtInto.
 func (g *Generator) GenerateAtInto32(dst []float32, stride int, i0, j0 int64, nx, ny, workers int) {
+	RenderInto(g, dst, stride, i0, j0, nx, ny, workers)
+}
+
+// RenderInto is the one body behind GenerateAtInto and GenerateAtInto32,
+// rendering at precision F: the engine choice, noise, and tap sum are
+// the same code at both precisions, and only the lane (taps, MAC-row
+// kernel, noise fill, scratch pool) differs.
+func RenderInto[F simd.Float](g *Generator, dst []F, stride int, i0, j0 int64, nx, ny, workers int) {
+	checkWindow(len(dst), stride, nx, ny)
+	if workers == 0 {
+		workers = g.Workers
+	}
+	l := laneOf[F](g)
+	ar := l.arenas.Get().(*genArena[F])
+	switch g.engineFor(nx, ny) {
+	case EngineDirect:
+		ni0, nj0, wx, wy := g.kernel.NoiseWindow(i0, j0, nx, ny)
+		ar.noise = grow(ar.noise, wx*wy)
+		FillPlane(g, ar.noise, wx, ni0, nj0, workers)
+		convDirect(g, l, dst, stride, nx, ny, ar.noise, wx, workers)
+	case EngineFFT:
+		pad, px := g.convolveFFT(nx, ny, &ar.fftScratch, i0, j0, workers)
+		for j := 0; j < ny; j++ {
+			convert(dst[j*stride:j*stride+nx], pad[j*px:j*px+nx])
+		}
+	}
+	l.arenas.Put(ar)
+}
+
+// checkWindow validates an nx×ny destination window at the given row
+// stride over a buffer of dstLen samples.
+func checkWindow(dstLen, stride, nx, ny int) {
 	if nx < 1 || ny < 1 {
 		panic(fmt.Sprintf("convgen: invalid window %dx%d", nx, ny))
 	}
 	if stride < nx {
 		panic(fmt.Sprintf("convgen: stride %d below window width %d", stride, nx))
 	}
-	if need := stride*(ny-1) + nx; len(dst) < need {
-		panic(fmt.Sprintf("convgen: destination holds %d samples, window needs %d", len(dst), need))
+	if need := stride*(ny-1) + nx; dstLen < need {
+		panic(fmt.Sprintf("convgen: destination holds %d samples, window needs %d", dstLen, need))
 	}
-	if workers == 0 {
-		workers = g.Workers
-	}
-	ar := g.arenas.Get().(*genArena)
-	switch g.engineFor(nx, ny) {
-	case EngineDirect:
-		g.convolveDirect32(dst, stride, nx, ny, ar, i0, j0, workers)
-	case EngineFFT:
-		g.convolveFFT32(dst, stride, nx, ny, ar, i0, j0, workers)
-	}
-	g.arenas.Put(ar)
 }
 
 // GenerateAt32 is GenerateAt at float32 render precision, returning a
@@ -236,89 +261,23 @@ func (g *Generator) engineFor(nx, ny int) Engine {
 	return EngineFFT
 }
 
-// fillNoise materializes the noise window [i0, i0+wx) × [j0, j0+wy)
-// into rows of dst at the given stride.
-func (g *Generator) fillNoise(dst []float64, i0, j0 int64, wx, wy, stride, workers int) {
-	par.For(wy, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			g.field.FillRow(dst[j*stride:j*stride+wx], i0, j0+int64(j))
-		}
-	})
-}
-
-// convolveDirect evaluates f(i,j) = Σ_{a,b} taps[b][a]·X(i+a−cx, j+b−cy);
-// the noise window is offset by (−cx, −cy), so the inner expression
-// indexes noise at (i+a, j+b). The tap sum runs through the generic
-// axpy core, which is bit-identical to the literal per-sample sum.
-func (g *Generator) convolveDirect(dst []float64, stride, nx, ny int, ar *genArena, i0, j0 int64, workers int) {
-	k := g.kernel
-	wx := nx + k.Nx - 1
-	wy := ny + k.Ny - 1
-	ar.noise = growF(ar.noise, wx*wy)
-	noise := ar.noise
-	g.fillNoise(noise, i0-int64(k.CX), j0-int64(k.CY), wx, wy, wx, workers)
-	convDirect(dst, stride, nx, ny, k.Taps, k.Nx, k.Ny, noise, wx, simd.MacRow64, workers)
-}
-
-// convolveDirect32 is the float32 serving path: float32 taps, a noise
-// window narrowed at fill time, and the float32 MAC kernel.
-func (g *Generator) convolveDirect32(dst []float32, stride, nx, ny int, ar *genArena, i0, j0 int64, workers int) {
-	k := g.kernel
-	wx := nx + k.Nx - 1
-	wy := ny + k.Ny - 1
-	ar.noise32 = grow32(ar.noise32, wx*wy)
-	noise := ar.noise32
-	ni0, nj0 := i0-int64(k.CX), j0-int64(k.CY)
-	par.For(wy, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			g.field.FillRow32(noise[j*wx:j*wx+wx], ni0, nj0+int64(j))
-		}
-	})
-	convDirect(dst, stride, nx, ny, g.kernelTaps32(), k.Nx, k.Ny, noise, wx, simd.MacRow32, workers)
-}
-
-// kernelTaps32 returns the kernel narrowed to float32, built on first
-// use and cached for the generator's lifetime.
-func (g *Generator) kernelTaps32() []float32 {
-	g.taps32Once.Do(func() {
-		g.taps32 = make([]float32, len(g.kernel.Taps))
-		simd.Narrow(g.taps32, g.kernel.Taps)
-	})
-	return g.taps32
-}
-
-// convolveFFT computes the same linear correlation with padded
-// real-input FFTs: corr = IRFFT(RFFT(noise)·conj(RFFT(taps))) evaluated
-// on the valid region. Both spectra are Hermitian (real inputs), so the
-// whole pipeline runs on nx/2+1 bins per row — about half the
-// arithmetic and memory traffic of the complex route. The padded size
-// per axis is the next power of two at or above the noise window, which
-// is always at least output+kernel−1, so no circular wrap reaches the
-// extracted samples. The kernel half-spectrum is cached per padded
-// size; plans come from the worker-keyed process cache, so steady state
-// builds no tables and allocates nothing beyond the output grid.
-func (g *Generator) convolveFFT(dst []float64, stride, nx, ny int, ar *genArena, i0, j0 int64, workers int) {
-	pad, px := g.convolveFFTPad(nx, ny, ar, i0, j0, workers)
-	for j := 0; j < ny; j++ {
-		copy(dst[j*stride:j*stride+nx], pad[j*px:j*px+nx])
-	}
-}
-
-// convolveFFT32 runs the float64 FFT engine and narrows the extracted
-// rows. The FFT path is already O(N log N) with most of its time in
-// the transforms, so a float32 transform stack would buy little; the
-// f32 speedup lives in the direct path (DESIGN.md §13).
-func (g *Generator) convolveFFT32(dst []float32, stride, nx, ny int, ar *genArena, i0, j0 int64, workers int) {
-	pad, px := g.convolveFFTPad(nx, ny, ar, i0, j0, workers)
-	for j := 0; j < ny; j++ {
-		simd.Narrow(dst[j*stride:j*stride+nx], pad[j*px:j*px+nx])
-	}
-}
-
-// convolveFFTPad computes the correlation on the padded workspace and
-// returns the arena's pad plus its row stride; rows [0, ny) of the
-// valid region start at pad[j*px].
-func (g *Generator) convolveFFTPad(nx, ny int, ar *genArena, i0, j0 int64, workers int) ([]float64, int) {
+// convolveFFT computes the linear correlation of the window's noise
+// with the kernel through padded real-input FFTs: corr =
+// IRFFT(RFFT(noise)·conj(RFFT(taps))) evaluated on the valid region.
+// Both spectra are Hermitian (real inputs), so the whole pipeline runs
+// on nx/2+1 bins per row — about half the arithmetic and memory traffic
+// of the complex route. The padded size per axis is the next power of
+// two at or above the noise window, which is always at least
+// output+kernel−1, so no circular wrap reaches the extracted samples.
+// The kernel half-spectrum is cached per padded size; plans come from
+// the worker-keyed process cache, so steady state builds no tables and
+// allocates nothing beyond the output grid. The transforms run in
+// float64 at both render precisions: the FFT path is already
+// O(N log N) with most of its time in the transforms, so a float32
+// transform stack would buy little (DESIGN.md §13). It returns the
+// arena's pad plus its row stride; rows [0, ny) of the valid region
+// start at pad[j*px].
+func (g *Generator) convolveFFT(nx, ny int, sc *fftScratch, i0, j0 int64, workers int) ([]float64, int) {
 	k := g.kernel
 	wx := nx + k.Nx - 1
 	wy := ny + k.Ny - 1
@@ -329,10 +288,10 @@ func (g *Generator) convolveFFTPad(nx, ny int, ar *genArena, i0, j0 int64, worke
 		panic(err)
 	}
 	hx := plan.HalfNx()
-	ar.pad = growF(ar.pad, px*py)
-	ar.spec = growC(ar.spec, hx*py)
-	spec := ar.spec
-	pad := ar.pad
+	sc.pad = grow(sc.pad, px*py)
+	sc.spec = grow(sc.spec, hx*py)
+	spec := sc.spec
+	pad := sc.pad
 
 	// Noise rows go straight into the padded workspace; their column
 	// padding is re-zeroed because the arena still holds the previous

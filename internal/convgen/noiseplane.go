@@ -3,6 +3,7 @@ package convgen
 import (
 	"fmt"
 
+	"roughsurface/internal/par"
 	"roughsurface/internal/simd"
 )
 
@@ -21,15 +22,7 @@ func (k *Kernel) NoiseWindow(i0, j0 int64, nx, ny int) (ni0, nj0 int64, wnx, wny
 // row-major at stride pnx; it must cover the kernel's NoiseWindow for
 // the requested output window.
 func (g *Generator) convolvePlaneArgs(dstLen, stride int, planeLen, pnx int, pi0, pj0, i0, j0 int64, nx, ny int) int {
-	if nx < 1 || ny < 1 {
-		panic(fmt.Sprintf("convgen: invalid window %dx%d", nx, ny))
-	}
-	if stride < nx {
-		panic(fmt.Sprintf("convgen: stride %d below window width %d", stride, nx))
-	}
-	if need := stride*(ny-1) + nx; dstLen < need {
-		panic(fmt.Sprintf("convgen: destination holds %d samples, window needs %d", dstLen, need))
-	}
+	checkWindow(dstLen, stride, nx, ny)
 	if pnx < 1 || planeLen%pnx != 0 {
 		panic(fmt.Sprintf("convgen: noise plane of %d samples is not whole rows of %d", planeLen, pnx))
 	}
@@ -43,6 +36,21 @@ func (g *Generator) convolvePlaneArgs(dstLen, stride int, planeLen, pnx int, pi0
 	return int(offY)*pnx + int(offX)
 }
 
+// FillPlane fills a noise plane of whole rows of pnx samples with the
+// generator's field at precision F: row r holds the lattice samples
+// [pi0, pi0+pnx) of row pj0+r, exactly as Field.FillRow (float64) or
+// Field.FillRow32 (float32) produce them — the plane ConvolvePlaneInto
+// reads. Same-seed generators see the same field, so one plane serves
+// all of them.
+func FillPlane[F simd.Float](g *Generator, plane []F, pnx int, pi0, pj0 int64, workers int) {
+	fill := laneOf[F](g).fill
+	par.For(len(plane)/pnx, workers, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			fill(g.field, plane[r*pnx:(r+1)*pnx], pi0, pj0+int64(r))
+		}
+	})
+}
+
 // ConvolveNoiseInto renders the window like GenerateAtInto but reads
 // field samples from the caller-supplied plane instead of materializing
 // its own noise window. Sharing one plane across many windows (and
@@ -54,12 +62,7 @@ func (g *Generator) convolvePlaneArgs(dstLen, stride int, planeLen, pnx int, pi0
 // summation order). Always runs the direct engine: plane reuse targets
 // the many-small-windows regime where direct wins anyway.
 func (g *Generator) ConvolveNoiseInto(dst []float64, stride int, plane []float64, pnx int, pi0, pj0, i0, j0 int64, nx, ny, workers int) {
-	off := g.convolvePlaneArgs(len(dst), stride, len(plane), pnx, pi0, pj0, i0, j0, nx, ny)
-	if workers == 0 {
-		workers = g.Workers
-	}
-	k := g.kernel
-	convDirect(dst, stride, nx, ny, k.Taps, k.Nx, k.Ny, plane[off:], pnx, simd.MacRow64, workers)
+	ConvolvePlaneInto(g, dst, stride, plane, pnx, pi0, pj0, i0, j0, nx, ny, workers)
 }
 
 // ConvolveNoiseInto32 is ConvolveNoiseInto at float32 render precision:
@@ -67,10 +70,15 @@ func (g *Generator) ConvolveNoiseInto(dst []float64, stride int, plane []float64
 // per sample), so results are bit-identical to GenerateAtInto32's
 // direct engine.
 func (g *Generator) ConvolveNoiseInto32(dst []float32, stride int, plane []float32, pnx int, pi0, pj0, i0, j0 int64, nx, ny, workers int) {
+	ConvolvePlaneInto(g, dst, stride, plane, pnx, pi0, pj0, i0, j0, nx, ny, workers)
+}
+
+// ConvolvePlaneInto is the one body behind ConvolveNoiseInto and
+// ConvolveNoiseInto32, at precision F.
+func ConvolvePlaneInto[F simd.Float](g *Generator, dst []F, stride int, plane []F, pnx int, pi0, pj0, i0, j0 int64, nx, ny, workers int) {
 	off := g.convolvePlaneArgs(len(dst), stride, len(plane), pnx, pi0, pj0, i0, j0, nx, ny)
 	if workers == 0 {
 		workers = g.Workers
 	}
-	k := g.kernel
-	convDirect(dst, stride, nx, ny, g.kernelTaps32(), k.Nx, k.Ny, plane[off:], pnx, simd.MacRow32, workers)
+	convDirect(g, laneOf[F](g), dst, stride, nx, ny, plane[off:], pnx, workers)
 }

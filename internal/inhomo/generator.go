@@ -66,32 +66,34 @@ type Generator struct {
 
 	// arenas pools the per-tile scratch (active component fields and
 	// the weight vector) so the sparse path allocates nothing per tile
-	// in steady state beyond the returned grid.
-	arenas sync.Pool
+	// in steady state beyond the returned grid. There is one pool per
+	// render precision ([0] float64, [1] float32; see arenaPool), so a
+	// mixed-precision serving workload does not thrash one set of
+	// allocations.
+	arenas [2]sync.Pool
 }
 
-// tileArena is one worker's scratch for rendering a multi-active tile.
-// The f64 and f32 paths keep separate field buffers so a mixed-precision
-// serving workload does not thrash one set of allocations.
-type tileArena struct {
-	fields   [][]float64 // one tile-sized buffer per active component
-	fields32 [][]float32 // f32 render path's counterpart
-	w        []float64   // BlendWeights output, length M
-	active   []int       // indices of active components
+// tileArena is one worker's scratch for rendering a multi-active tile
+// at precision F.
+type tileArena[F simd.Float] struct {
+	fields [][]F     // one tile-sized buffer per active component
+	w      []float64 // BlendWeights output, length M
+	active []int     // indices of active components
 }
 
-func growFloats(buf []float64, n int) []float64 {
+// arenaPool returns g's tile-scratch pool for precision F.
+func arenaPool[F simd.Float](g *Generator) *sync.Pool {
+	if _, ok := any(F(0)).(float32); ok {
+		return &g.arenas[1]
+	}
+	return &g.arenas[0]
+}
+
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]float64, n)
-}
-
-func growFloats32(buf []float32, n int) []float32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float32, n)
+	return make([]T, n)
 }
 
 // NewGenerator validates the component set against the blender.
@@ -116,7 +118,8 @@ func NewGenerator(kernels []*convgen.Kernel, blender Blender, seed uint64) (*Gen
 		convs[i] = convgen.NewGenerator(k, seed) // same seed → same noise field
 	}
 	g := &Generator{kernels: kernels, convs: convs, blender: blender, seed: seed, dx: dx, dy: dy}
-	g.arenas.New = func() any { return &tileArena{} }
+	g.arenas[0].New = func() any { return &tileArena[float64]{} }
+	g.arenas[1].New = func() any { return &tileArena[float32]{} }
 	return g, nil
 }
 
@@ -146,34 +149,66 @@ func (g *Generator) GenerateAtInto(out *grid.Grid, i0, j0 int64) {
 	if out == nil || out.Nx < 1 || out.Ny < 1 {
 		panic("inhomo: GenerateAtInto needs a non-empty destination grid")
 	}
-	out.Dx, out.Dy = g.dx, g.dy
-	out.X0 = float64(i0) * g.dx
-	out.Y0 = float64(j0) * g.dy
+	out.Dx, out.Dy, out.X0, out.Y0 = g.dx, g.dy, float64(i0)*g.dx, float64(j0)*g.dy
+	RenderInto(g, out.Data, out.Nx, out.Ny, i0, j0)
+}
+
+// GenerateAt32 is GenerateAt at float32 render precision. Every engine
+// runs the same path selection and code as the float64 API, with the
+// component convolutions and the weight blend instantiated at float32;
+// agreement with the float64 engine is tolerance-gated in
+// precision_test.go. The serving daemon uses this path for f32 tiles.
+func (g *Generator) GenerateAt32(i0, j0 int64, nx, ny int) *grid.Grid32 {
+	out := grid.New32(nx, ny)
+	g.GenerateAtInto32(out, i0, j0)
+	return out
+}
+
+// GenerateAtInto32 renders the window with lower lattice corner
+// (i0, j0) into the caller-owned float32 grid, mirroring
+// GenerateAtInto's contract (size fixed by the grid, metadata
+// overwritten, pooled per-tile scratch).
+func (g *Generator) GenerateAtInto32(out *grid.Grid32, i0, j0 int64) {
+	if out == nil || out.Nx < 1 || out.Ny < 1 {
+		panic("inhomo: GenerateAtInto32 needs a non-empty destination grid")
+	}
+	out.Dx, out.Dy, out.X0, out.Y0 = g.dx, g.dy, float64(i0)*g.dx, float64(j0)*g.dy
+	RenderInto(g, out.Data, out.Nx, out.Ny, i0, j0)
+}
+
+// RenderInto is the one body behind GenerateAtInto and GenerateAtInto32:
+// it renders the nx×ny window with lower lattice corner (i0, j0) at
+// precision F into dst, row-major at stride nx. Engine selection,
+// tiling, the shared noise plane, and the blend are the same code at
+// both precisions.
+func RenderInto[F simd.Float](g *Generator, dst []F, nx, ny int, i0, j0 int64) {
+	if nx < 1 || ny < 1 || len(dst) < nx*ny {
+		panic(fmt.Sprintf("inhomo: window %dx%d does not fit %d samples", nx, ny, len(dst)))
+	}
 	if g.Reference {
-		g.generateReference(out, i0, j0)
+		generateReference(g, dst, nx, ny, i0, j0)
 		return
 	}
-	nx, ny := out.Nx, out.Ny
 	switch g.Engine {
 	case EngineDense:
-		g.generateFast(out, i0, j0)
+		generateDense(g, dst, nx, ny, i0, j0, nil)
 		return
 	case EngineTiled:
 		tiles := grid.Tiling(nx, ny, g.tileSize(), g.tileSize())
-		g.generateTiled(out, i0, j0, tiles, g.tileMasks(tiles, i0, j0))
+		generateTiled(g, dst, nx, ny, i0, j0, tiles, g.tileMasks(tiles, i0, j0))
 		return
 	}
 	if _, ok := g.blender.(SupportMasker); !ok {
-		g.generateFast(out, i0, j0)
+		generateDense(g, dst, nx, ny, i0, j0, nil)
 		return
 	}
 	tiles := grid.Tiling(nx, ny, g.tileSize(), g.tileSize())
 	masks := g.tileMasks(tiles, i0, j0)
 	if shared := sharedMask(masks); shared != nil {
-		g.generateFastMasked(out, i0, j0, shared)
+		generateDense(g, dst, nx, ny, i0, j0, shared)
 		return
 	}
-	g.generateTiled(out, i0, j0, tiles, masks)
+	generateTiled(g, dst, nx, ny, i0, j0, tiles, masks)
 }
 
 // GenerateCentered materializes an nx×ny window centered on the lattice
@@ -230,6 +265,63 @@ func sharedMask(masks [][]bool) []bool {
 	return first
 }
 
+// noisePlane is a window's shared noise plane: the field at precision
+// F over the window plus the largest halo among its readers, row-major
+// at stride pnx from lattice point (pi0, pj0). Every component reads
+// the same seed's field, so one plane serves all tiles and all
+// readers, and the Box–Muller transform (log/sqrt/cos per sample, the
+// dominant cost of small-kernel rendering) runs once per lattice point
+// instead of once per tile per component.
+//
+// The rule is the same at both precisions: component m reads the plane
+// iff it is active somewhere in the window and its engine at the
+// window size is direct. A plane read is bit-identical to the
+// self-contained direct engine. Every other component renders
+// self-contained, choosing its engine at the size it renders (tile or
+// window). No plane is built when nothing reads it (DESIGN.md §13).
+type noisePlane[F simd.Float] struct {
+	data     []F
+	pnx      int
+	pi0, pj0 int64
+	reads    []bool // per component
+}
+
+// newNoisePlane builds the plane of an nx×ny window whose component m
+// is active somewhere iff active[m].
+func newNoisePlane[F simd.Float](g *Generator, i0, j0 int64, nx, ny int, active []bool) *noisePlane[F] {
+	p := &noisePlane[F]{reads: make([]bool, len(g.kernels))}
+	readers := 0
+	var l, r, t, b int
+	for m, k := range g.kernels {
+		if !active[m] || g.convs[m].EngineFor(nx, ny) != convgen.EngineDirect {
+			continue
+		}
+		p.reads[m] = true
+		readers++
+		l, r = max(l, k.CX), max(r, k.Nx-1-k.CX)
+		t, b = max(t, k.CY), max(b, k.Ny-1-k.CY)
+	}
+	if readers == 0 {
+		return p
+	}
+	p.pnx = nx + l + r
+	p.pi0, p.pj0 = i0-int64(l), j0-int64(t)
+	p.data = make([]F, p.pnx*(ny+t+b))
+	convgen.FillPlane(g.convs[0], p.data, p.pnx, p.pi0, p.pj0, g.Workers)
+	return p
+}
+
+// render renders component m over the window (i0, j0, nx, ny) into dst
+// at the given row stride: from the plane when m reads it, through the
+// self-contained convolution otherwise.
+func (p *noisePlane[F]) render(g *Generator, m int, dst []F, stride int, i0, j0 int64, nx, ny, workers int) {
+	if p.reads[m] {
+		convgen.ConvolvePlaneInto(g.convs[m], dst, stride, p.data, p.pnx, p.pi0, p.pj0, i0, j0, nx, ny, workers)
+		return
+	}
+	convgen.RenderInto(g.convs[m], dst, stride, i0, j0, nx, ny, workers)
+}
+
 // generateTiled is the sparse engine: each tile runs only its active
 // components through the destination-buffer convolution API and fuses
 // the w·F accumulation, so work scales with Σ active-tile area instead
@@ -237,18 +329,26 @@ func sharedMask(masks [][]bool) []bool {
 // their costs are heterogeneous — a seam tile with three active
 // components costs several times an interior tile — and static chunking
 // would idle workers behind the expensive ones.
-func (g *Generator) generateTiled(out *grid.Grid, i0, j0 int64, tiles []grid.Tile, masks [][]bool) {
+func generateTiled[F simd.Float](g *Generator, dst []F, nx, ny int, i0, j0 int64, tiles []grid.Tile, masks [][]bool) {
+	anywhere := make([]bool, len(g.kernels))
+	for _, mask := range masks {
+		for m, on := range mask {
+			anywhere[m] = anywhere[m] || on
+		}
+	}
+	plane := newNoisePlane[F](g, i0, j0, nx, ny, anywhere)
 	par.Dynamic(len(tiles), g.Workers, func(t int) {
-		g.renderTile(out, i0, j0, tiles[t], masks[t])
+		renderTile(g, dst, nx, i0, j0, tiles[t], masks[t], plane)
 	})
 }
 
-// renderTile materializes one tile of the window in place. The tile is
-// the unit of parallelism, so the per-component generation below runs
-// single-worker.
-func (g *Generator) renderTile(out *grid.Grid, i0, j0 int64, t grid.Tile, mask []bool) {
-	ar := g.arenas.Get().(*tileArena)
-	defer g.arenas.Put(ar)
+// renderTile materializes one tile of the window in place; the window
+// is dst at row stride nx. The tile is the unit of parallelism, so the
+// per-component generation below runs single-worker.
+func renderTile[F simd.Float](g *Generator, dst []F, nx int, i0, j0 int64, t grid.Tile, mask []bool, plane *noisePlane[F]) {
+	pool := arenaPool[F](g)
+	ar := pool.Get().(*tileArena[F])
+	defer pool.Put(ar)
 	active := ar.active[:0]
 	for m, on := range mask {
 		if on {
@@ -264,29 +364,29 @@ func (g *Generator) renderTile(out *grid.Grid, i0, j0 int64, t grid.Tile, mask [
 	}
 	ar.active = active
 
-	base := t.Y0*out.Nx + t.X0
+	base := t.Y0*nx + t.X0
 	ti0, tj0 := i0+int64(t.X0), j0+int64(t.Y0)
 	if len(active) == 1 {
 		// Sole active component ⇒ its weight is identically 1 on the
 		// tile (weights sum to 1 and the rest are provably zero):
 		// generate straight into the output rows, no blend pass.
-		g.convs[active[0]].GenerateAtInto(out.Data[base:], out.Nx, ti0, tj0, t.Nx, t.Ny, 1)
+		plane.render(g, active[0], dst[base:], nx, ti0, tj0, t.Nx, t.Ny, 1)
 		return
 	}
 
 	n := t.Nx * t.Ny
 	if cap(ar.fields) < len(active) {
-		ar.fields = append(ar.fields, make([][]float64, len(active)-len(ar.fields))...)
+		ar.fields = append(ar.fields, make([][]F, len(active)-len(ar.fields))...)
 	}
 	fields := ar.fields[:len(active)]
 	for s, m := range active {
-		fields[s] = growFloats(fields[s], n)
-		g.convs[m].GenerateAtInto(fields[s], t.Nx, ti0, tj0, t.Nx, t.Ny, 1)
+		fields[s] = grow(fields[s], n)
+		plane.render(g, m, fields[s], t.Nx, ti0, tj0, t.Nx, t.Ny, 1)
 	}
 	ar.fields = fields[:cap(fields)]
-	w := growFloats(ar.w, len(mask))
+	w := grow(ar.w, len(mask))
 	ar.w = w
-	blendRows(g.blender, out.Data[base:], out.Nx, t.Nx, fields, active, 0, t.Ny, ti0, tj0, g.dx, g.dy, w)
+	blendRows(g.blender, dst[base:], nx, t.Nx, fields, active, 0, t.Ny, ti0, tj0, g.dx, g.dy, w)
 }
 
 // blendRows is the precision-generic weight-blend inner loop shared by
@@ -316,58 +416,49 @@ func blendRows[F simd.Float](b Blender, dst []F, dstStride, nx int, fields [][]F
 	}
 }
 
-// generateFast produces each component's homogeneous surface from the
-// shared noise field and mixes them pointwise: f = Σ_m g_n(m)·F_m(n).
-// This is eqn (46) after exchanging the two sums.
-func (g *Generator) generateFast(out *grid.Grid, i0, j0 int64) {
-	active := make([]bool, len(g.kernels))
-	for i := range active {
-		active[i] = true
+// generateDense produces each component's homogeneous surface from the
+// shared noise field over the whole window and mixes them pointwise:
+// f = Σ_m g_n(m)·F_m(n), eqn (46) after exchanging the two sums. A
+// non-nil window-wide support mask restricts it to the components the
+// mask leaves active: the others carry zero weight everywhere, so
+// skipping their fields is exact. With a single active component the
+// window is that component's homogeneous surface, rendered
+// self-contained with no blend sweep.
+func generateDense[F simd.Float](g *Generator, dst []F, nx, ny int, i0, j0 int64, active []bool) {
+	if active == nil {
+		active = make([]bool, len(g.kernels))
+		for m := range active {
+			active[m] = true
+		}
 	}
-	g.generateFastMasked(out, i0, j0, active)
-}
-
-// generateFastMasked is generateFast restricted to the components a
-// window-wide support mask leaves active: components the mask rules out
-// carry zero weight everywhere, so skipping their fields is exact. With
-// a single active component the window is that component's homogeneous
-// surface and the blend sweep is skipped entirely.
-func (g *Generator) generateFastMasked(out *grid.Grid, i0, j0 int64, active []bool) {
-	nx, ny := out.Nx, out.Ny
-	count := 0
-	last := 0
+	var act []int
 	for m, on := range active {
 		if on {
-			count++
-			last = m
+			act = append(act, m)
 		}
 	}
-	if count == 1 {
-		g.convs[last].GenerateAtInto(out.Data, nx, i0, j0, nx, ny, g.Workers)
+	if len(act) == 1 {
+		convgen.RenderInto(g.convs[act[0]], dst, nx, i0, j0, nx, ny, g.Workers)
 		return
 	}
-	fields := make([][]float64, 0, count)
-	act := make([]int, 0, count)
-	for m, cg := range g.convs {
-		if !active[m] {
-			continue
-		}
-		f := make([]float64, nx*ny)
-		cg.GenerateAtInto(f, nx, i0, j0, nx, ny, g.Workers)
-		fields = append(fields, f)
-		act = append(act, m)
+	plane := newNoisePlane[F](g, i0, j0, nx, ny, active)
+	fields := make([][]F, len(act))
+	for s, m := range act {
+		fields[s] = make([]F, nx*ny)
+		plane.render(g, m, fields[s], nx, i0, j0, nx, ny, g.Workers)
 	}
 	par.For(ny, g.Workers, func(lo, hi int) {
 		w := make([]float64, len(g.kernels))
-		blendRows(g.blender, out.Data, nx, nx, fields, act, lo, hi, i0, j0, g.dx, g.dy, w)
+		blendRows(g.blender, dst, nx, nx, fields, act, lo, hi, i0, j0, g.dx, g.dy, w)
 	})
 }
 
 // generateReference evaluates eqn (46) literally: at every output point
-// the blended kernel Σ_m g·w̃(m) is applied to the noise window.
-func (g *Generator) generateReference(out *grid.Grid, i0, j0 int64) {
+// the blended kernel Σ_m g·w̃(m) is applied to the noise window. The
+// sum runs in float64 at both precisions — the evaluator exists to
+// validate the fast paths — and is converted to F once per sample.
+func generateReference[F simd.Float](g *Generator, dst []F, nx, ny int, i0, j0 int64) {
 	field := rng.NewField(g.seed)
-	nx, ny := out.Nx, out.Ny
 	par.For(ny, g.Workers, func(lo, hi int) {
 		w := make([]float64, len(g.kernels))
 		for j := lo; j < hi; j++ {
@@ -390,7 +481,7 @@ func (g *Generator) generateReference(out *grid.Grid, i0, j0 int64) {
 					}
 					acc += w[m] * conv
 				}
-				out.Data[j*nx+i] = acc
+				dst[j*nx+i] = F(acc)
 			}
 		}
 	})

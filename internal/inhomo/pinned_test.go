@@ -4,12 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"runtime"
 	"testing"
 
 	"roughsurface/internal/convgen"
 	"roughsurface/internal/core"
 	"roughsurface/internal/figures"
+	"roughsurface/internal/grid"
 	"roughsurface/internal/inhomo"
 )
 
@@ -135,4 +137,96 @@ func masksUniform(masks [][]bool) bool {
 		}
 	}
 	return true
+}
+
+// fixturePoint is the service tests' point scene: two Gaussian
+// components, 40 units apart, with a 10-unit transition.
+const fixturePoint = `{"nx":64,"ny":64,"method":"point","transition_t":10,"points":[
+	  {"x":-20,"y":0,"spectrum":{"family":"gaussian","h":1,"cl":8}},
+	  {"x":20,"y":0,"spectrum":{"family":"gaussian","h":2.5,"cl":8}}]}`
+
+// TestFixtureWindow64PinnedBytes pins f64 256² windows of the plate
+// and point fixtures on amd64, the cold-mixed tile shapes whose
+// components are all direct at the window size and so read the shared
+// noise plane: the plate window crosses the seam and renders tiled,
+// the point window has uniform masks and renders dense.
+func TestFixtureWindow64PinnedBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		doc   string
+		tiled bool
+		want  string
+	}{
+		{"plate", fixturePlate, true, "58637ffb77629aee32b2a9e0af624e98e4d7e19e892840e44d2dfbcb15571a41"},
+		{"point", fixturePoint, false, "6e6e766bbdc4ae2d4eab3ea4bb936ccf07935d99ede0755828e7e56e62359230"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := core.ParseScene([]byte(tc.doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := components(t, sc.Normalized())
+			for m, k := range c.Kernels {
+				if e := convgen.NewGenerator(k, 1).EngineFor(256, 256); e != convgen.EngineDirect {
+					t.Fatalf("component %d engine %v at 256², want direct", m, e)
+				}
+			}
+			gen := inhomo.MustGenerator(c.Kernels, c.Blender, 1)
+			if tiled := !masksUniform(inhomo.TileMasks(gen, -128, -128, 256, 256)); tiled != tc.tiled {
+				t.Fatalf("tiled path %v, want %v", tiled, tc.tiled)
+			}
+			checkPinned(t, sha(t, gen.GenerateAt(-128, -128, 256, 256).Data), tc.want)
+		})
+	}
+}
+
+// TestFFTSoleTile32MatchesHomogeneous: an f32 tile whose only active
+// component picks the FFT engine at the tile size renders exactly as
+// that component's homogeneous f32 surface, bit for bit. Figure 1's
+// cl = 80 component (a 231² kernel) is FFT on a 64² tile, so the tiled
+// engine must run it self-contained rather than direct off a noise
+// plane.
+func TestFFTSoleTile32MatchesHomogeneous(t *testing.T) {
+	const i0, j0, n = -192, -192, 256
+	sc := figures.Figure1(figures.Size, 1).Scene
+	c := components(t, sc)
+	gen := inhomo.MustGenerator(c.Kernels, c.Blender, sc.Seed)
+	masks := inhomo.TileMasks(gen, i0, j0, n, n)
+	if masksUniform(masks) {
+		t.Fatal("window masks are uniform; want the tiled path")
+	}
+	out := gen.GenerateAt32(i0, j0, n, n)
+	checked := 0
+	for ti, tile := range grid.Tiling(n, n, 64, 64) {
+		sole := -1
+		for m, on := range masks[ti] {
+			if on {
+				if sole >= 0 {
+					sole = -2
+					break
+				}
+				sole = m
+			}
+		}
+		if sole < 0 {
+			continue
+		}
+		conv := convgen.NewGenerator(c.Kernels[sole], sc.Seed)
+		if conv.EngineFor(tile.Nx, tile.Ny) != convgen.EngineFFT {
+			continue
+		}
+		want := conv.GenerateAt32(i0+int64(tile.X0), j0+int64(tile.Y0), tile.Nx, tile.Ny)
+		for j := 0; j < tile.Ny; j++ {
+			for i := 0; i < tile.Nx; i++ {
+				got := out.At(tile.X0+i, tile.Y0+j)
+				if w := want.At(i, j); math.Float32bits(got) != math.Float32bits(w) {
+					t.Fatalf("tile %d sample (%d,%d): %g, want %g", ti, i, j, got, w)
+				}
+			}
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no tile with a sole FFT-engine component")
+	}
 }

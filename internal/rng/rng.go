@@ -168,19 +168,7 @@ func (f Field) At(i, j int64) float64 {
 // dst[m] = At(i0+m, j), bit-identical to the per-sample calls. The
 // row-dependent half of the seed mix is hoisted out of the loop, which
 // makes this the preferred form for the generators' noise pass.
-func (f Field) FillRow(dst []float64, i0, j int64) {
-	rowSeed := f.seed ^ uint64(j)*0xc2b2ae3d27d4eb4f
-	i := uint64(i0) * 0x9e3779b97f4a7c15
-	for m := range dst {
-		st := rowSeed ^ i
-		i += 0x9e3779b97f4a7c15
-		h1 := splitmix64(&st)
-		h2 := splitmix64(&st)
-		u1 := (float64(h1>>11) + 0.5) * (1.0 / (1 << 53)) // (0,1): safe in log
-		u2 := float64(h2>>11) * (1.0 / (1 << 53))         // [0,1): angle
-		dst[m] = math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	}
-}
+func (f Field) FillRow(dst []float64, i0, j int64) { fillRow(f, dst, i0, j) }
 
 // FillRow32 is FillRow narrowed to float32 at the store: each sample is
 // the float64 field value rounded once to single precision, so the f32
@@ -188,7 +176,18 @@ func (f Field) FillRow(dst []float64, i0, j int64) {
 // within one rounding step. The Box–Muller math stays in float64 —
 // log/sqrt/cos dominate the cost either way, and computing in f32 would
 // compound rounding without saving time.
-func (f Field) FillRow32(dst []float32, i0, j int64) {
+func (f Field) FillRow32(dst []float32, i0, j int64) { fillRow(f, dst, i0, j) }
+
+// float is the sample precision of a filled row. It matches simd.Float,
+// which rng cannot import: simd's tests draw their inputs from rng.
+type float interface {
+	~float32 | ~float64
+}
+
+// fillRow is the one row-fill body behind FillRow and FillRow32: the
+// float64 field value, converted to F at the store (the identity for
+// float64, one round-to-nearest for float32).
+func fillRow[F float](f Field, dst []F, i0, j int64) {
 	rowSeed := f.seed ^ uint64(j)*0xc2b2ae3d27d4eb4f
 	i := uint64(i0) * 0x9e3779b97f4a7c15
 	for m := range dst {
@@ -198,7 +197,7 @@ func (f Field) FillRow32(dst []float32, i0, j int64) {
 		h2 := splitmix64(&st)
 		u1 := (float64(h1>>11) + 0.5) * (1.0 / (1 << 53)) // (0,1): safe in log
 		u2 := float64(h2>>11) * (1.0 / (1 << 53))         // [0,1): angle
-		dst[m] = float32(math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2))
+		dst[m] = F(math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2))
 	}
 }
 

@@ -307,6 +307,71 @@ func TestClusterFallbackOwnerSheds(t *testing.T) {
 	}
 }
 
+// TestClusterFallbackCorruptBody: the owner answers 200 with a body of
+// the wrong size — an f32 tile a few bytes short, or a PNG tile over
+// the proxied-body bound. The non-owner must not serve or cache it: it
+// counts fallback_corrupt, renders locally, keeps the owner alive, and
+// a repeat fetch is a local hit on the correct bytes.
+func TestClusterFallbackCorruptBody(t *testing.T) {
+	cfg := Config{Workers: 2, MaxTileSamples: testWin.nx * testWin.ny}
+	_, single := testServer(t, Config{Workers: 2})
+	sid := postScene(t, single, fixtureHomog)
+	for _, tc := range []struct {
+		name, format string
+		body         func(s *Server) []byte
+	}{
+		{"truncated-f32", "f32", func(*Server) []byte { return make([]byte, 4*testWin.nx*testWin.ny-4) }},
+		{"oversized-png", "png", func(s *Server) []byte { return make([]byte, s.maxPeerTileBody()+1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var body []byte
+			owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if strings.Contains(r.URL.Path, "/tile/") {
+					w.Header().Set("X-Cache", "hit")
+					_, _ = w.Write(body)
+					return
+				}
+				w.WriteHeader(http.StatusOK)
+			}))
+			t.Cleanup(owner.Close)
+
+			s, ts, cl := newClusteredServer(t, "a", []cluster.Peer{{Name: "b", URL: owner.URL}}, cfg)
+			body = tc.body(s)
+			id := postScene(t, ts, fixtureHomog)
+			if id != sid {
+				t.Fatalf("scene id %s, standalone %s", id, sid)
+			}
+			var path string
+			for seed := uint64(1); seed <= 512 && path == ""; seed++ {
+				if p, ok := cl.Owner(cacheKey(id, 0, seed, testWin, tc.format, "f64")); ok && p.Name == "b" {
+					path = tilePath(id, seed) + "&format=" + tc.format
+				}
+			}
+			if path == "" {
+				t.Fatal("no seed hashes to owner b")
+			}
+			want, _ := getTile(t, single, path)
+
+			for i, cache := range []string{"miss", "hit"} {
+				resp, got := getTileResp(t, ts, path)
+				if resp.StatusCode != http.StatusOK || string(got) != string(want) {
+					t.Fatalf("fetch %d: status %d, %d bytes; want 200 with the standalone render's %d bytes",
+						i, resp.StatusCode, len(got), len(want))
+				}
+				if sb, xc := resp.Header.Get("X-RRS-Served-By"), resp.Header.Get("X-Cache"); sb != "a" || xc != cache {
+					t.Errorf("fetch %d: served by %q with X-Cache %q, want a with %s", i, sb, xc, cache)
+				}
+			}
+			if m := metricsText(t, ts); !strings.Contains(m, `rrsd_cluster_fallback_total{peer="b",reason="corrupt"} 1`) {
+				t.Errorf("metrics missing one fallback_corrupt:\n%s", m)
+			}
+			if n := cl.AliveCount(); n != 2 {
+				t.Errorf("alive count after corrupt body = %d, want 2 (owner stays alive)", n)
+			}
+		})
+	}
+}
+
 // TestClusterDrainRejectsPeerTraffic: a draining node sheds proxied
 // requests (503 + Retry-After) and reads unhealthy, while direct
 // clients are still served until the listener closes.

@@ -46,10 +46,11 @@ type reqKey struct {
 
 // peerKey labels one cluster counter: op is one of proxy_hit,
 // proxy_miss (successful proxied fetches, split by the owner's cache
-// state), fallback_down, fallback_shed, fallback_error (local renders
-// after the owner was unreachable, shedding, or erroring), and
-// fanout_error (scene replication to that peer failed). Cardinality is
-// bounded by the static peer set times six ops.
+// state), fallback_down, fallback_shed, fallback_error, fallback_corrupt
+// (local renders after the owner was unreachable, shedding, erroring,
+// or sent a body of the wrong size), and fanout_error (scene
+// replication to that peer failed). Cardinality is bounded by the
+// static peer set times seven ops.
 type peerKey struct {
 	peer string
 	op   string
@@ -229,7 +230,7 @@ func (m *metrics) writePeerOps(w io.Writer) {
 			fmt.Fprintf(w, "rrsd_cluster_proxy_total{peer=%q,result=%q} %d\n", k.peer, op, vals[k])
 		}
 	}
-	fmt.Fprintf(w, "# HELP rrsd_cluster_fallback_total Local renders after the owning shard was unavailable, by owner and reason.\n")
+	fmt.Fprintf(w, "# HELP rrsd_cluster_fallback_total Local renders after the owning shard was unavailable or sent a corrupt body, by owner and reason.\n")
 	fmt.Fprintf(w, "# TYPE rrsd_cluster_fallback_total counter\n")
 	for _, k := range keys {
 		if reason, ok := strings.CutPrefix(k.op, "fallback_"); ok {

@@ -102,7 +102,9 @@ func (s *Server) peerFetchOnce(ctx context.Context, owner cluster.Peer, uri stri
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 		return peerResult{status: resp.StatusCode}
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, s.maxPeerTileBody()))
+	// Read one byte past the bound so an oversized body is seen as such
+	// (and rejected by fetchFromOwner) rather than silently truncated.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, s.maxPeerTileBody()+1))
 	if err != nil {
 		return peerResult{err: err}
 	}
@@ -118,10 +120,13 @@ func (s *Server) peerFetchOnce(ctx context.Context, owner cluster.Peer, uri stri
 // returning the entry to serve plus the owner's cache disposition. A
 // false return means the caller must fall back to a local render (the
 // per-peer fallback counter has already been incremented with the
-// reason). Successful proxied bodies are cached locally too: the
-// owner's LRU stays the authoritative hot cache, but repeat traffic
-// through this node becomes a local hit.
-func (s *Server) fetchFromOwner(ctx context.Context, uri string, owner cluster.Peer, level int, key string) (*cacheEntry, string, bool) {
+// reason). Bodies fail closed: one over the size bound, or an f32 body
+// (wantLen > 0) that is not exactly wantLen bytes, counts
+// fallback_corrupt and is neither served nor cached. Verified proxied
+// bodies are cached locally too: the owner's LRU stays the
+// authoritative hot cache, but repeat traffic through this node
+// becomes a local hit.
+func (s *Server) fetchFromOwner(ctx context.Context, uri string, owner cluster.Peer, level int, key string, wantLen int) (*cacheEntry, string, bool) {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	res := s.peerFetch(ctx, owner, uri, key)
@@ -138,6 +143,9 @@ func (s *Server) fetchFromOwner(ctx context.Context, uri string, owner cluster.P
 		return nil, "", false
 	case res.status != http.StatusOK:
 		s.met.countPeer(owner.Name, "fallback_error")
+		return nil, "", false
+	case int64(len(res.body)) > s.maxPeerTileBody() || (wantLen > 0 && len(res.body) != wantLen):
+		s.met.countPeer(owner.Name, "fallback_corrupt")
 		return nil, "", false
 	}
 	if res.ownerCache == "hit" {

@@ -10,8 +10,8 @@ import (
 
 	"roughsurface/internal/convgen"
 	"roughsurface/internal/core"
-	"roughsurface/internal/grid"
 	"roughsurface/internal/inhomo"
+	"roughsurface/internal/simd"
 )
 
 // sceneIDLen is the hex length of a scene ID: the first 128 bits of the
@@ -82,7 +82,7 @@ func (r *registry) register(body []byte, genWorkers, maxSeedGens int) (*sceneEnt
 		genWorkers:  genWorkers,
 		maxSeedGens: maxSeedGens,
 		comps:       make(map[int]*levelComponents),
-		gens:        make(map[genKey]tileGen),
+		gens:        make(map[genKey]*tileGen),
 	}
 	r.scenes[id] = e
 	return e, true, nil
@@ -120,7 +120,7 @@ type sceneEntry struct {
 	comps  map[int]*levelComponents
 
 	mu          sync.Mutex
-	gens        map[genKey]tileGen
+	gens        map[genKey]*tileGen
 	order       []genKey // LRU over (level, seed), most recent last
 	maxSeedGens int
 }
@@ -169,11 +169,24 @@ func (e *sceneEntry) components(ctx context.Context, level int) (*core.Component
 }
 
 // tileGen renders one window of the deterministic surface for one
-// (scene, seed), at reference (f64) or serving (f32) precision.
-// Implementations are safe for concurrent use.
-type tileGen interface {
-	generate(out *grid.Grid, i0, j0 int64)
-	generate32(out *grid.Grid32, i0, j0 int64)
+// (scene, seed): a homogeneous convolution, or an inhomogeneous blend
+// through the tile-sparse engine. Safe for concurrent use.
+type tileGen struct {
+	conv    *convgen.Generator // homogeneous scenes
+	inhomo  *inhomo.Generator  // plate/point scenes
+	workers int
+}
+
+// renderWindow renders the window at precision F into a fresh row-major
+// buffer.
+func renderWindow[F simd.Float](g *tileGen, win window) []F {
+	dst := make([]F, win.nx*win.ny)
+	if g.conv != nil {
+		convgen.RenderInto(g.conv, dst, win.nx, win.x0, win.y0, win.nx, win.ny, g.workers)
+	} else {
+		inhomo.RenderInto(g.inhomo, dst, win.nx, win.ny, win.x0, win.y0)
+	}
+	return dst
 }
 
 // generator returns the (scene, level, seed) tile generator, designing
@@ -181,7 +194,7 @@ type tileGen interface {
 // park a burst of first requests behind one kernel design, and a caller
 // whose deadline lapsed while parked should not then start building a
 // per-seed generator it will never use.
-func (e *sceneEntry) generator(ctx context.Context, level int, seed uint64) (tileGen, error) {
+func (e *sceneEntry) generator(ctx context.Context, level int, seed uint64) (*tileGen, error) {
 	comp, err := e.components(ctx, level)
 	if err != nil {
 		return nil, err
@@ -193,17 +206,16 @@ func (e *sceneEntry) generator(ctx context.Context, level int, seed uint64) (til
 		e.touch(key)
 		return g, nil
 	}
-	var g tileGen
+	g := &tileGen{workers: e.genWorkers}
 	if comp.Blender == nil {
-		conv := convgen.NewGenerator(comp.Kernels[0], seed)
-		g = &homogGen{conv: conv, workers: e.genWorkers}
+		g.conv = convgen.NewGenerator(comp.Kernels[0], seed)
 	} else {
 		ig, err := inhomo.NewGenerator(comp.Kernels, comp.Blender, seed)
 		if err != nil {
 			return nil, err
 		}
 		ig.Workers = e.genWorkers
-		g = &inhomoGen{gen: ig}
+		g.inhomo = ig
 	}
 	e.gens[key] = g
 	e.order = append(e.order, key)
@@ -223,39 +235,4 @@ func (e *sceneEntry) touch(key genKey) {
 			return
 		}
 	}
-}
-
-// homogGen serves homogeneous conv scenes straight from convgen.
-type homogGen struct {
-	conv    *convgen.Generator
-	workers int
-}
-
-func (h *homogGen) generate(out *grid.Grid, i0, j0 int64) {
-	k := h.conv.Kernel()
-	out.Dx, out.Dy = k.Dx, k.Dy
-	out.X0 = float64(i0) * k.Dx
-	out.Y0 = float64(j0) * k.Dy
-	h.conv.GenerateAtInto(out.Data, out.Nx, i0, j0, out.Nx, out.Ny, h.workers)
-}
-
-func (h *homogGen) generate32(out *grid.Grid32, i0, j0 int64) {
-	k := h.conv.Kernel()
-	out.Dx, out.Dy = k.Dx, k.Dy
-	out.X0 = float64(i0) * k.Dx
-	out.Y0 = float64(j0) * k.Dy
-	h.conv.GenerateAtInto32(out.Data, out.Nx, i0, j0, out.Nx, out.Ny, h.workers)
-}
-
-// inhomoGen serves plate/point scenes through the tile-sparse engine.
-type inhomoGen struct {
-	gen *inhomo.Generator
-}
-
-func (h *inhomoGen) generate(out *grid.Grid, i0, j0 int64) {
-	h.gen.GenerateAtInto(out, i0, j0)
-}
-
-func (h *inhomoGen) generate32(out *grid.Grid32, i0, j0 int64) {
-	h.gen.GenerateAtInto32(out, i0, j0)
 }

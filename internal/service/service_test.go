@@ -279,7 +279,7 @@ func TestF32CodecRoundTrip(t *testing.T) {
 	for i := range g.Data {
 		g.Data[i] = float64(i) * 0.25
 	}
-	body := encodeF32(g)
+	body := encodeF32(g.Data)
 	if len(body) != 4*len(g.Data) {
 		t.Fatalf("encoded %d bytes, want %d", len(body), 4*len(g.Data))
 	}

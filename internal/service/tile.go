@@ -13,6 +13,7 @@ import (
 	"roughsurface/internal/core"
 	"roughsurface/internal/grid"
 	"roughsurface/internal/render"
+	"roughsurface/internal/simd"
 )
 
 // window is one requested tile: lattice lower corner and sample counts.
@@ -253,7 +254,11 @@ func (s *Server) serveTile(w http.ResponseWriter, r *http.Request, entry *sceneE
 				// cache for this key. On failure fetchFromOwner has
 				// counted the per-peer fallback reason and we render
 				// locally below.
-				if e, ownerCache, ok := s.fetchFromOwner(r.Context(), r.URL.RequestURI(), owner, level, key); ok {
+				wantLen := 0
+				if p.format == formatF32 {
+					wantLen = 4 * win.nx * win.ny
+				}
+				if e, ownerCache, ok := s.fetchFromOwner(r.Context(), r.URL.RequestURI(), owner, level, key, wantLen); ok {
 					w.Header().Set(headerServedBy, owner.Name)
 					writeTile(w, e, win, ownerCache)
 					return
@@ -373,64 +378,51 @@ type tileResult struct {
 // submit boundary. At f32 precision the surface renders through the
 // single-precision SIMD pipeline (half the working set, vectorized MAC
 // kernels) and the f32 wire format is emitted without a float64 round
-// trip; PNG tiles widen the rendered samples for the shared
-// colormapper.
+// trip.
 func (s *Server) renderTile(ctx context.Context, entry *sceneEntry, level int, seed uint64, win window, format, precision string) tileResult {
 	gen, err := entry.generator(ctx, level, seed)
 	if err != nil {
 		return tileResult{err: err}
 	}
 	if precision == core.PrecisionF32 {
-		out := grid.New32(win.nx, win.ny)
-		gen.generate32(out, win.x0, win.y0)
-		if format == formatPNG {
-			var buf bytes.Buffer
-			if err := render.PNG(&buf, out.Widen()); err != nil {
-				return tileResult{err: err}
-			}
-			return tileResult{body: buf.Bytes(), ctype: "image/png"}
-		}
-		return tileResult{body: encodeF32Native(out), ctype: "application/octet-stream"}
+		return encodeTile(renderWindow[float32](gen, win), win, format)
 	}
-	out := grid.New(win.nx, win.ny)
-	gen.generate(out, win.x0, win.y0)
-	switch format {
-	case formatPNG:
+	return encodeTile(renderWindow[float64](gen, win), win, format)
+}
+
+// encodeTile encodes rendered samples in the requested format. PNG
+// tiles widen the samples for the shared colormapper.
+func encodeTile[F simd.Float](data []F, win window, format string) tileResult {
+	if format == formatPNG {
+		g := grid.New(win.nx, win.ny)
+		for i, v := range data {
+			g.Data[i] = float64(v)
+		}
 		var buf bytes.Buffer
-		if err := render.PNG(&buf, out); err != nil {
+		if err := render.PNG(&buf, g); err != nil {
 			return tileResult{err: err}
 		}
 		return tileResult{body: buf.Bytes(), ctype: "image/png"}
-	default:
-		return tileResult{body: encodeF32(out), ctype: "application/octet-stream"}
 	}
+	return tileResult{body: encodeF32(data), ctype: "application/octet-stream"}
 }
 
-// encodeF32 packs the grid row-major (row 0 first) as little-endian
+// encodeF32 packs samples row-major (row 0 first) as little-endian
 // float32 — the wire format of the f32 tile. float32 halves bandwidth
 // relative to the internal float64 at far more precision than surface
-// statistics need, and the narrowing is deterministic.
-func encodeF32(g *grid.Grid) []byte {
-	body := make([]byte, 4*len(g.Data))
-	for i, v := range g.Data {
+// statistics need, and the narrowing is deterministic; f32-rendered
+// samples already hold the wire precision, so float32(v) is the
+// identity for them.
+func encodeF32[F simd.Float](data []F) []byte {
+	body := make([]byte, 4*len(data))
+	for i, v := range data {
 		binary.LittleEndian.PutUint32(body[4*i:], math.Float32bits(float32(v)))
 	}
 	return body
 }
 
-// encodeF32Native packs an f32-rendered tile: the samples already hold
-// the wire precision, so the body is their little-endian bits with no
-// widen/narrow round trip.
-func encodeF32Native(g *grid.Grid32) []byte {
-	body := make([]byte, 4*len(g.Data))
-	for i, v := range g.Data {
-		binary.LittleEndian.PutUint32(body[4*i:], math.Float32bits(v))
-	}
-	return body
-}
-
-// decodeF32 is the inverse of encodeF32's framing (float32 precision);
-// exported to tests and rrsload via the package boundary being shared.
+// decodeF32 is the inverse of encodeF32's framing, for the package's
+// tests.
 func decodeF32(body []byte) []float32 {
 	out := make([]float32, len(body)/4)
 	for i := range out {

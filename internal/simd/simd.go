@@ -96,17 +96,6 @@ func MacRow64(taps, noise, dst []float64) {
 	macRow64(taps, noise, dst)
 }
 
-// Narrow converts src to float32 into dst (round-to-nearest, the only
-// narrowing the pipeline performs). Lengths must match.
-func Narrow(dst []float32, src []float64) {
-	if len(dst) != len(src) {
-		panic("simd: Narrow length mismatch")
-	}
-	for i, v := range src {
-		dst[i] = float32(v)
-	}
-}
-
 // axpyGeneric is the portable 8-lane manually unrolled MAC loop. The
 // unroll buys instruction-level parallelism (eight independent
 // load/mul/add/store chains in flight); full-slice-expression reslicing

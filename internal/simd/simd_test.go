@@ -51,8 +51,8 @@ func TestAxpyMatchesReference(t *testing.T) {
 
 		x32 := make([]float32, n)
 		y32 := make([]float32, n)
-		Narrow(x32, x64)
-		Narrow(y32, fill64(src, n))
+		narrow(x32, x64)
+		narrow(y32, fill64(src, n))
 		want32 := append([]float32(nil), y32...)
 		axpyRef(float32(alpha), x32, want32)
 		Axpy32(alpha, x32, y32)
@@ -86,9 +86,9 @@ func TestAxpyBitExactVsFallback(t *testing.T) {
 		}
 
 		x32 := make([]float32, n)
-		Narrow(x32, x64)
+		narrow(x32, x64)
 		y32a := make([]float32, n)
-		Narrow(y32a, fill64(src, n))
+		narrow(y32a, fill64(src, n))
 		y32b := append([]float32(nil), y32a...)
 		Axpy32(float32(alpha), x32, y32a)
 		axpyGeneric32(float32(alpha), x32, y32b)
@@ -129,7 +129,6 @@ func TestAxpyLengthMismatchPanics(t *testing.T) {
 		"Axpy32": func() { Axpy32(1, make([]float32, 3), make([]float32, 4)) },
 		"Axpy64": func() { Axpy64(1, make([]float64, 4), make([]float64, 3)) },
 		"Axpy":   func() { Axpy(1.0, make([]float64, 1), make([]float64, 2)) },
-		"Narrow": func() { Narrow(make([]float32, 2), make([]float64, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -142,14 +141,11 @@ func TestAxpyLengthMismatchPanics(t *testing.T) {
 	}
 }
 
-func TestNarrow(t *testing.T) {
-	src := []float64{0, 1, -1, 0.1, math.Pi, 1e40, -1e40, math.Inf(1)}
-	dst := make([]float32, len(src))
-	Narrow(dst, src)
+// narrow rounds src to float32 into dst, the f32 pipeline's one
+// narrowing step.
+func narrow(dst []float32, src []float64) {
 	for i, v := range src {
-		if !approx.Exact(float64(dst[i]), float64(float32(v))) {
-			t.Fatalf("Narrow[%d] = %g, want %g", i, dst[i], float32(v))
-		}
+		dst[i] = float32(v)
 	}
 }
 
@@ -186,9 +182,9 @@ func TestMacRowMatchesReference(t *testing.T) {
 			t32 := make([]float32, taps)
 			noise32 := make([]float32, taps+n)
 			d32a := make([]float32, n)
-			Narrow(t32, t64)
-			Narrow(noise32, noise64)
-			Narrow(d32a, fill64(src, n))
+			narrow(t32, t64)
+			narrow(noise32, noise64)
+			narrow(d32a, fill64(src, n))
 			d32b := append([]float32(nil), d32a...)
 			macRowRef(t32, noise32, d32b)
 			MacRow32(t32, noise32, d32a)
@@ -226,9 +222,9 @@ func TestMacRowBitExactVsAxpy(t *testing.T) {
 			t32 := make([]float32, taps)
 			noise32 := make([]float32, taps+n)
 			d32a := make([]float32, n)
-			Narrow(t32, t64)
-			Narrow(noise32, noise64)
-			Narrow(d32a, fill64(src, n))
+			narrow(t32, t64)
+			narrow(noise32, noise64)
+			narrow(d32a, fill64(src, n))
 			d32b := append([]float32(nil), d32a...)
 			MacRow32(t32, noise32, d32a)
 			for a, tap := range t32 {
@@ -267,9 +263,9 @@ func TestMacRowBitExactVsFallback(t *testing.T) {
 			t32 := make([]float32, taps)
 			noise32 := make([]float32, taps+n)
 			d32a := make([]float32, n)
-			Narrow(t32, t64)
-			Narrow(noise32, noise64)
-			Narrow(d32a, fill64(src, n))
+			narrow(t32, t64)
+			narrow(noise32, noise64)
+			narrow(d32a, fill64(src, n))
 			d32b := append([]float32(nil), d32a...)
 			MacRow32(t32, noise32, d32a)
 			macRowGeneric32(t32, noise32, d32b)
@@ -322,9 +318,9 @@ func BenchmarkMacRow(b *testing.B) {
 	t32 := make([]float32, taps)
 	noise32 := make([]float32, taps-1+n)
 	d32 := make([]float32, n)
-	Narrow(t32, t64)
-	Narrow(noise32, noise64)
-	Narrow(d32, d64)
+	narrow(t32, t64)
+	narrow(noise32, noise64)
+	narrow(d32, d64)
 	b.Run("f32/"+Impl(), func(b *testing.B) {
 		b.SetBytes(4 * n * taps)
 		for i := 0; i < b.N; i++ {
@@ -354,8 +350,8 @@ func BenchmarkAxpy(b *testing.B) {
 	})
 	x32 := make([]float32, n)
 	y32 := make([]float32, n)
-	Narrow(x32, x64)
-	Narrow(y32, y64)
+	narrow(x32, x64)
+	narrow(y32, y64)
 	b.Run("f32/"+Impl(), func(b *testing.B) {
 		b.SetBytes(4 * n)
 		for i := 0; i < b.N; i++ {
