@@ -100,8 +100,8 @@ type genArena[F simd.Float] struct {
 
 // fftScratch is the FFT engine's workspace, float64 at both precisions.
 type fftScratch struct {
-	pad  []float64    // px×py padded real workspace
-	spec []complex128 // (px/2+1)×py half-spectrum
+	pad  []float64    // px×wy padded real workspace (wy noise rows)
+	spec []complex128 // (px/2+1)×wy half-spectrum rows
 }
 
 // grow returns buf resliced to n, reallocating only when capacity is
@@ -187,6 +187,15 @@ func (g *Generator) GenerateAtInto32(dst []float32, stride int, i0, j0 int64, nx
 // kernel, noise fill, scratch pool) differs.
 func RenderInto[F simd.Float](g *Generator, dst []F, stride int, i0, j0 int64, nx, ny, workers int) {
 	checkWindow(len(dst), stride, nx, ny)
+	render(g, dst, stride, i0, j0, nx, ny, workers, nil)
+}
+
+// render is the engine body behind RenderInto and ConvolvePlaneInto.
+// Its noise comes from plane when that is non-nil and from the
+// generator's field otherwise; the values are the same either way. A
+// float64 direct render reads the plane in place; a float32 one
+// narrows its noise window from it, as Field.FillRow32 would.
+func render[F simd.Float](g *Generator, dst []F, stride int, i0, j0 int64, nx, ny, workers int, plane *planeView) {
 	if workers == 0 {
 		workers = g.Workers
 	}
@@ -194,12 +203,26 @@ func RenderInto[F simd.Float](g *Generator, dst []F, stride int, i0, j0 int64, n
 	ar := l.arenas.Get().(*genArena[F])
 	switch g.engineFor(nx, ny) {
 	case EngineDirect:
+		if plane != nil {
+			if noise, ok := any(plane.data[plane.off:]).([]F); ok {
+				convDirect(g, l, dst, stride, nx, ny, noise, plane.pnx, workers)
+				break
+			}
+		}
 		ni0, nj0, wx, wy := g.kernel.NoiseWindow(i0, j0, nx, ny)
 		ar.noise = grow(ar.noise, wx*wy)
-		FillPlane(g, ar.noise, wx, ni0, nj0, workers)
+		if plane != nil {
+			par.For(wy, workers, func(lo, hi int) {
+				for r := lo; r < hi; r++ {
+					convert(ar.noise[r*wx:(r+1)*wx], plane.row(r, wx))
+				}
+			})
+		} else {
+			FillPlane(g, ar.noise, wx, ni0, nj0, workers)
+		}
 		convDirect(g, l, dst, stride, nx, ny, ar.noise, wx, workers)
 	case EngineFFT:
-		pad, px := g.convolveFFT(nx, ny, &ar.fftScratch, i0, j0, workers)
+		pad, px := g.convolveFFT(nx, ny, &ar.fftScratch, i0, j0, workers, plane)
 		for j := 0; j < ny; j++ {
 			convert(dst[j*stride:j*stride+nx], pad[j*px:j*px+nx])
 		}
@@ -242,11 +265,10 @@ func (g *Generator) GenerateCentered(nx, ny int) *grid.Grid {
 	return g.GenerateAt(-int64(nx/2), -int64(ny/2), nx, ny)
 }
 
-// EngineFor reports the engine GenerateAt* would select for an nx×ny
-// window — EngineDirect or EngineFFT, resolving EngineAuto's cost
-// heuristic. Callers batching windows against a shared noise plane
-// (ConvolveNoiseInto*, which is direct-only) use it to fall back to the
-// self-contained API where the FFT engine would win.
+// EngineFor reports the engine GenerateAt* and ConvolveNoiseInto*
+// select for an nx×ny window — EngineDirect or EngineFFT, resolving
+// EngineAuto's cost heuristic. Batching callers use it to size the
+// shared noise plane and for reporting.
 func (g *Generator) EngineFor(nx, ny int) Engine { return g.engineFor(nx, ny) }
 
 func (g *Generator) engineFor(nx, ny int) Engine {
@@ -266,9 +288,14 @@ func (g *Generator) engineFor(nx, ny int) Engine {
 // IRFFT(RFFT(noise)·conj(RFFT(taps))) evaluated on the valid region.
 // Both spectra are Hermitian (real inputs), so the whole pipeline runs
 // on nx/2+1 bins per row — about half the arithmetic and memory traffic
-// of the complex route. The padded size per axis is the next power of
-// two at or above the noise window, which is always at least
-// output+kernel−1, so no circular wrap reaches the extracted samples.
+// of the complex route. fft.Plan2D.CorrelateRealRows runs the whole
+// correlation with the spectral multiply fused into its column pass,
+// reading only the wy noise rows and writing only the ny rows extracted.
+// The padded size per axis is the next power of two at or above the
+// noise window, which is always at least output+kernel−1, so no
+// circular wrap reaches the extracted samples. The noise rows come from
+// plane when it is non-nil and from the field otherwise, with the same
+// values.
 // The kernel half-spectrum is cached per padded size; plans come from
 // the worker-keyed process cache, so steady state builds no tables and
 // allocates nothing beyond the output grid. The transforms run in
@@ -277,7 +304,7 @@ func (g *Generator) engineFor(nx, ny int) Engine {
 // transform stack would buy little (DESIGN.md §13). It returns the
 // arena's pad plus its row stride; rows [0, ny) of the valid region
 // start at pad[j*px].
-func (g *Generator) convolveFFT(nx, ny int, sc *fftScratch, i0, j0 int64, workers int) ([]float64, int) {
+func (g *Generator) convolveFFT(nx, ny int, sc *fftScratch, i0, j0 int64, workers int, plane *planeView) ([]float64, int) {
 	k := g.kernel
 	wx := nx + k.Nx - 1
 	wy := ny + k.Ny - 1
@@ -287,39 +314,34 @@ func (g *Generator) convolveFFT(nx, ny int, sc *fftScratch, i0, j0 int64, worker
 	if err != nil {
 		panic(err)
 	}
-	hx := plan.HalfNx()
-	sc.pad = grow(sc.pad, px*py)
-	sc.spec = grow(sc.spec, hx*py)
-	spec := sc.spec
+	// The workspaces hold only the wy rows the correlation reads (it
+	// writes only the ny ≤ wy rows extracted below); rows [wy, py) are
+	// zero padding it takes as read, so they are never stored.
+	sc.pad = grow(sc.pad, px*wy)
+	sc.spec = grow(sc.spec, plan.HalfNx()*wy)
 	pad := sc.pad
 
-	// Noise rows go straight into the padded workspace; their column
-	// padding is re-zeroed because the arena still holds the previous
-	// call's inverse output. Rows at and beyond wy are zero padding: the
-	// row-bounded forward never reads them, and the row-bounded inverse
-	// writes only the ny rows extracted below.
+	// Noise rows go straight into the padded workspace, from the plane
+	// or the field; their column padding is re-zeroed because the arena
+	// still holds the previous call's inverse output.
 	par.For(wy, workers, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			row := pad[j*px : (j+1)*px]
-			g.field.FillRow(row[:wx], i0-int64(k.CX), j0-int64(k.CY)+int64(j))
+			if plane != nil {
+				copy(row[:wx], plane.row(j, wx))
+			} else {
+				g.field.FillRow(row[:wx], i0-int64(k.CX), j0-int64(k.CY)+int64(j))
+			}
 			clear(row[wx:])
 		}
 	})
-
-	plan.ForwardRealRows(spec, pad, wy)
-	tHat := g.cachedTapsHat(plan, px, py)
-	par.For(len(spec), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			t := tHat[i]
-			spec[i] *= complex(real(t), -imag(t))
-		}
-	})
-	plan.InverseRealRowsTo(pad, spec, ny)
+	plan.CorrelateRealRows(pad, pad, g.cachedTapsHat(plan, px, py), sc.spec, wy, ny)
 	return pad, px
 }
 
 // cachedTapsHat returns the half-spectrum of the kernel zero-padded to
-// px×py, computing and caching it on first use for that size.
+// px×py, column-major as CorrelateRealRows reads it, computing and
+// caching it on first use for that size.
 func (g *Generator) cachedTapsHat(plan *fft.Plan2D, px, py int) []complex128 {
 	key := [2]int{px, py}
 	if hat := g.tapsHat.get(key); hat != nil {
@@ -332,6 +354,7 @@ func (g *Generator) cachedTapsHat(plan *fft.Plan2D, px, py int) []complex128 {
 	}
 	hat := make([]complex128, plan.HalfNx()*py)
 	plan.ForwardReal(hat, pad)
+	hat = plan.ColumnMajor(hat)
 	g.tapsHat.put(key, hat)
 	return hat
 }

@@ -16,32 +16,47 @@ func (k *Kernel) NoiseWindow(i0, j0 int64, nx, ny int) (ni0, nj0 int64, wnx, wny
 	return i0 - int64(k.CX), j0 - int64(k.CY), nx + k.Nx - 1, ny + k.Ny - 1
 }
 
-// convolvePlaneArgs validates a ConvolveNoiseInto* call and returns the
-// plane offset of the window's first noise sample. The plane holds
-// field samples for the lattice rectangle [pi0, pi0+pnx) × [pj0, …),
-// row-major at stride pnx; it must cover the kernel's NoiseWindow for
-// the requested output window.
-func (g *Generator) convolvePlaneArgs(dstLen, stride int, planeLen, pnx int, pi0, pj0, i0, j0 int64, nx, ny int) int {
+// planeView is a window's noise source inside a caller's plane: the
+// plane holds Field.FillRow output at row stride pnx, and the window's
+// first noise sample sits at data[off].
+type planeView struct {
+	data []float64
+	pnx  int
+	off  int
+}
+
+// row returns the first n noise samples of the window's noise row r.
+func (v *planeView) row(r, n int) []float64 {
+	o := v.off + r*v.pnx
+	return v.data[o : o+n]
+}
+
+// planeArgs validates a ConvolveNoiseInto* call and returns the view of
+// the window's noise inside the plane. The plane holds field samples
+// for the lattice rectangle [pi0, pi0+pnx) × [pj0, …), row-major at
+// stride pnx; it must cover the kernel's NoiseWindow for the requested
+// output window.
+func (g *Generator) planeArgs(dstLen, stride int, plane []float64, pnx int, pi0, pj0, i0, j0 int64, nx, ny int) *planeView {
 	checkWindow(dstLen, stride, nx, ny)
-	if pnx < 1 || planeLen%pnx != 0 {
-		panic(fmt.Sprintf("convgen: noise plane of %d samples is not whole rows of %d", planeLen, pnx))
+	if pnx < 1 || len(plane)%pnx != 0 {
+		panic(fmt.Sprintf("convgen: noise plane of %d samples is not whole rows of %d", len(plane), pnx))
 	}
-	pny := planeLen / pnx
+	pny := len(plane) / pnx
 	ni0, nj0, wnx, wny := g.kernel.NoiseWindow(i0, j0, nx, ny)
 	offX, offY := ni0-pi0, nj0-pj0
 	if offX < 0 || offY < 0 || offX+int64(wnx) > int64(pnx) || offY+int64(wny) > int64(pny) {
 		panic(fmt.Sprintf("convgen: noise plane %dx%d at (%d,%d) does not cover window %dx%d at (%d,%d) (needs %dx%d at (%d,%d))",
 			pnx, pny, pi0, pj0, nx, ny, i0, j0, wnx, wny, ni0, nj0))
 	}
-	return int(offY)*pnx + int(offX)
+	return &planeView{data: plane, pnx: pnx, off: int(offY)*pnx + int(offX)}
 }
 
 // FillPlane fills a noise plane of whole rows of pnx samples with the
 // generator's field at precision F: row r holds the lattice samples
 // [pi0, pi0+pnx) of row pj0+r, exactly as Field.FillRow (float64) or
-// Field.FillRow32 (float32) produce them — the plane ConvolvePlaneInto
-// reads. Same-seed generators see the same field, so one plane serves
-// all of them.
+// Field.FillRow32 (float32) produce them. A float64 plane is what
+// ConvolvePlaneInto reads. Same-seed generators see the same field, so
+// one plane serves all of them.
 func FillPlane[F simd.Float](g *Generator, plane []F, pnx int, pi0, pj0 int64, workers int) {
 	fill := laneOf[F](g).fill
 	par.For(len(plane)/pnx, workers, func(lo, hi int) {
@@ -52,33 +67,32 @@ func FillPlane[F simd.Float](g *Generator, plane []F, pnx int, pi0, pj0 int64, w
 }
 
 // ConvolveNoiseInto renders the window like GenerateAtInto but reads
-// field samples from the caller-supplied plane instead of materializing
-// its own noise window. Sharing one plane across many windows (and
-// across same-seed generators, which see the same field) removes the
-// per-window Box–Muller cost — the dominant term for small kernels —
-// at the price of the caller owning coverage. The plane must hold
-// Field.FillRow output for its rectangle; results are then bit-identical
-// to GenerateAtInto's direct engine (same taps, same noise values, same
-// summation order). Always runs the direct engine: plane reuse targets
-// the many-small-windows regime where direct wins anyway.
+// field samples from the caller-supplied plane instead of drawing its
+// own. Sharing one plane across many windows (and across same-seed
+// generators, which see the same field) removes the per-window
+// Box–Muller cost at the price of the caller owning coverage. The plane
+// must hold Field.FillRow output for its rectangle. The engine is the
+// one GenerateAtInto picks for the window (EngineFor), and the result
+// is bit-identical to GenerateAtInto's: the direct engine reads the
+// plane in place, and the FFT engine copies the window's noise rows
+// into its padded workspace where it would otherwise fill them, so
+// both see the same noise values and do the same arithmetic.
 func (g *Generator) ConvolveNoiseInto(dst []float64, stride int, plane []float64, pnx int, pi0, pj0, i0, j0 int64, nx, ny, workers int) {
 	ConvolvePlaneInto(g, dst, stride, plane, pnx, pi0, pj0, i0, j0, nx, ny, workers)
 }
 
-// ConvolveNoiseInto32 is ConvolveNoiseInto at float32 render precision:
-// the plane holds Field.FillRow32 output (the f64 field rounded once
-// per sample), so results are bit-identical to GenerateAtInto32's
-// direct engine.
-func (g *Generator) ConvolveNoiseInto32(dst []float32, stride int, plane []float32, pnx int, pi0, pj0, i0, j0 int64, nx, ny, workers int) {
+// ConvolveNoiseInto32 is ConvolveNoiseInto at float32 render precision.
+// The plane is the same float64 plane; the direct engine narrows the
+// window's noise from it once per sample, which is exactly
+// Field.FillRow32's output, so results are bit-identical to
+// GenerateAtInto32.
+func (g *Generator) ConvolveNoiseInto32(dst []float32, stride int, plane []float64, pnx int, pi0, pj0, i0, j0 int64, nx, ny, workers int) {
 	ConvolvePlaneInto(g, dst, stride, plane, pnx, pi0, pj0, i0, j0, nx, ny, workers)
 }
 
 // ConvolvePlaneInto is the one body behind ConvolveNoiseInto and
 // ConvolveNoiseInto32, at precision F.
-func ConvolvePlaneInto[F simd.Float](g *Generator, dst []F, stride int, plane []F, pnx int, pi0, pj0, i0, j0 int64, nx, ny, workers int) {
-	off := g.convolvePlaneArgs(len(dst), stride, len(plane), pnx, pi0, pj0, i0, j0, nx, ny)
-	if workers == 0 {
-		workers = g.Workers
-	}
-	convDirect(g, laneOf[F](g), dst, stride, nx, ny, plane[off:], pnx, workers)
+func ConvolvePlaneInto[F simd.Float](g *Generator, dst []F, stride int, plane []float64, pnx int, pi0, pj0, i0, j0 int64, nx, ny, workers int) {
+	v := g.planeArgs(len(dst), stride, plane, pnx, pi0, pj0, i0, j0, nx, ny)
+	render(g, dst, stride, i0, j0, nx, ny, workers, v)
 }

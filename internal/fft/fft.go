@@ -26,7 +26,7 @@ type Plan struct {
 	n       int
 	logN    int          // valid when power of two
 	rev     []int        // bit-reversal permutation (power of two only)
-	twiddle []complex128 // e^{-j2πk/n}, k = 0..n/2-1 (power of two only)
+	twiddle []complex128 // forward twiddles per stage, see stageTwiddles (power of two only)
 	twidInv []complex128 // conjugate table, so the hot loop never branches
 	blu     *bluestein   // non power-of-two path
 	scratch sync.Pool    // []complex128 of length n for out-of-place calls
@@ -45,7 +45,7 @@ func NewPlan(n int) (*Plan, error) {
 	if isPow2(n) {
 		p.logN = bits.TrailingZeros(uint(n))
 		p.rev = bitReversal(n)
-		p.twiddle = twiddleTable(n)
+		p.twiddle = stageTwiddles(n)
 		p.twidInv = make([]complex128, len(p.twiddle))
 		for i, w := range p.twiddle {
 			p.twidInv[i] = complex(real(w), -imag(w))
@@ -113,7 +113,10 @@ func (p *Plan) transform(dst, src []complex128, inverse bool) {
 // radix2 runs the iterative decimation-in-time transform in place. The
 // first two stages are specialized (twiddles 1 and ∓j need no complex
 // multiply) and the remaining stages read a per-direction twiddle table,
-// keeping the inner loop branch-free.
+// keeping the inner loop branch-free. Each stage's twiddles are
+// contiguous (stageTwiddles), so the butterfly loop walks its table,
+// the low half and the high half of a block in step, with no strided
+// loads and no bounds checks.
 func (p *Plan) radix2(a []complex128, inverse bool) {
 	n := p.n
 	if n == 1 {
@@ -151,17 +154,22 @@ func (p *Plan) radix2(a []complex128, inverse bool) {
 	}
 	for size := 8; size <= n; size <<= 1 {
 		half := size >> 1
-		step := n / size
+		w := tw[half-4 : size-4 : size-4]
 		for start := 0; start < n; start += size {
-			i := 0
-			for k := start; k < start+half; k++ {
-				w := tw[i]
-				t := w * a[k+half]
-				a[k+half] = a[k] - t
-				a[k] = a[k] + t
-				i += step
-			}
+			butterflies(w, a[start:start+half], a[start+half:start+size])
 		}
+	}
+}
+
+// butterflies runs one radix-2 block: lo[k], hi[k] = lo[k] + w[k]·hi[k],
+// lo[k] − w[k]·hi[k]. Reslicing lo and hi to len(w) lets the compiler
+// drop the loop's bounds checks.
+func butterflies(w, lo, hi []complex128) {
+	lo, hi = lo[:len(w)], hi[:len(w)]
+	for k, wk := range w {
+		t := wk * hi[k]
+		hi[k] = lo[k] - t
+		lo[k] = lo[k] + t
 	}
 }
 
@@ -176,11 +184,22 @@ func bitReversal(n int) []int {
 	return rev
 }
 
-func twiddleTable(n int) []complex128 {
-	tw := make([]complex128, n/2)
-	for k := range tw {
+// stageTwiddles lays out the twiddles of radix-2 stages 8, 16, …, n
+// back to back: stage size s starts at s/2−4 and holds e^{-j2πk/s},
+// k = 0..s/2−1. Each value is taken from the length-n/2 table at
+// stride n/s, so the stages multiply by exactly the values a strided
+// walk over that table would read.
+func stageTwiddles(n int) []complex128 {
+	full := make([]complex128, n/2)
+	for k := range full {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
-		tw[k] = complex(c, s)
+		full[k] = complex(c, s)
+	}
+	tw := make([]complex128, 0, max(n-4, 0))
+	for size := 8; size <= n; size <<= 1 {
+		for k := 0; k < size/2; k++ {
+			tw = append(tw, full[k*(n/size)])
+		}
 	}
 	return tw
 }

@@ -105,7 +105,7 @@ func (p *Plan2D) transform(data []complex128, inverse, scale bool) {
 		}
 	})
 
-	p.colPass(data, p.nx, inverse, workers)
+	p.colPass(data, p.nx, p.ny, p.ny, inverse, workers)
 
 	if scale {
 		s := complex(1/float64(p.nx*p.ny), 0)
@@ -119,35 +119,48 @@ func (p *Plan2D) transform(data []complex128, inverse, scale bool) {
 
 // colPass runs the length-ny transform down each of ncols columns of
 // data (row-major with row stride ncols; ncols is nx for full-spectrum
-// transforms and HalfNx for the real path). Columns are gathered and
-// scattered in blocks so every touched cache line is consumed fully (a
-// lone complex128 column stride wastes 3/4 of each 64-byte line); the
-// block buffers come from the plan's pool so steady state allocates
-// nothing.
-func (p *Plan2D) colPass(data []complex128, ncols int, inverse bool, workers int) {
+// transforms and HalfNx for the real path), reading rows [0, inRows)
+// and writing back rows [0, outRows) as colBlocks does.
+func (p *Plan2D) colPass(data []complex128, ncols, inRows, outRows int, inverse bool, workers int) {
+	p.colBlocks(data, ncols, inRows, outRows, workers, func(buf []complex128, _, bw int) {
+		for b := 0; b < bw; b++ {
+			col := buf[b*p.ny : (b+1)*p.ny]
+			p.py.transform(col, col, inverse)
+		}
+	})
+}
+
+// colBlocks runs fn over data's columns a block at a time. Each block
+// of bw ≤ colBlock columns starting at column x0 is gathered into a
+// column-major buffer (column b at buf[b*ny:(b+1)*ny]); fn works on it
+// in place, and the block is scattered back. Only data rows
+// [0, inRows) are read; the gather zeroes the rest, as if those rows
+// held zeros. Only rows [0, outRows) are written back; the rest of data
+// is left as it was. Blocks are gathered and scattered whole so every
+// touched cache line is consumed fully (a lone complex128 column stride
+// wastes 3/4 of each 64-byte line); the block buffers come from the
+// plan's pool so steady state allocates nothing.
+func (p *Plan2D) colBlocks(data []complex128, ncols, inRows, outRows, workers int, fn func(buf []complex128, x0, bw int)) {
 	blocks := (ncols + colBlock - 1) / colBlock
 	par.For(blocks, workers, func(lo, hi int) {
 		bp := p.colBuf.Get().(*[]complex128)
 		buf := *bp
 		for blk := lo; blk < hi; blk++ {
 			x0 := blk * colBlock
-			bw := colBlock
-			if x0+bw > ncols {
-				bw = ncols - x0
-			}
+			bw := min(colBlock, ncols-x0)
 			// Gather: row-major reads, column-major (contiguous per
 			// column) writes into buf.
-			for iy := 0; iy < p.ny; iy++ {
+			for iy := 0; iy < inRows; iy++ {
 				src := data[iy*ncols+x0 : iy*ncols+x0+bw]
 				for b, v := range src {
 					buf[b*p.ny+iy] = v
 				}
 			}
 			for b := 0; b < bw; b++ {
-				col := buf[b*p.ny : (b+1)*p.ny]
-				p.py.transform(col, col, inverse)
+				clear(buf[b*p.ny+inRows : (b+1)*p.ny])
 			}
-			for iy := 0; iy < p.ny; iy++ {
+			fn(buf, x0, bw)
+			for iy := 0; iy < outRows; iy++ {
 				dst := data[iy*ncols+x0 : iy*ncols+x0+bw]
 				for b := range dst {
 					dst[b] = buf[b*p.ny+iy]

@@ -197,16 +197,15 @@ func (p *Plan2D) HalfNx() int { return p.nx/2 + 1 }
 // row-major. The full spectrum is implied by the 2D Hermitian symmetry
 // F[nx−kx, (ny−ky) mod ny] = conj(F[kx, ky]). src is not modified.
 func (p *Plan2D) ForwardReal(dst []complex128, src []float64) {
-	p.ForwardRealRows(dst, src, p.ny)
+	p.forwardRealRows(dst, src, p.ny)
 }
 
-// ForwardRealRows is ForwardReal for an input whose rows at and beyond
-// rows are zero: only src rows [0, rows) are read, and the row pass
-// clears the zero rows' spectrum rows instead of transforming them.
-// The column pass then sees the same values ForwardReal would give it
-// (a zero row transforms to zeros), so the result is equal value for
-// value while a zero-padded convolution skips most of its row work.
-func (p *Plan2D) ForwardRealRows(dst []complex128, src []float64, rows int) {
+// forwardRealRows is ForwardReal for an input whose rows at and beyond
+// rows are zero: only src rows [0, rows) are transformed, and the
+// column pass takes the zero rows' spectrum rows as zeros instead of
+// reading them (a zero row transforms to zeros), so the result equals
+// ForwardReal's value for value.
+func (p *Plan2D) forwardRealRows(dst []complex128, src []float64, rows int) {
 	hx := p.HalfNx()
 	if len(src) != p.nx*p.ny || len(dst) != hx*p.ny {
 		panic(fmt.Sprintf("fft: 2D ForwardReal length mismatch: plan %dx%d, dst %d, src %d",
@@ -214,13 +213,8 @@ func (p *Plan2D) ForwardRealRows(dst []complex128, src []float64, rows int) {
 	}
 	p.checkRows(rows)
 	workers := p.workerBound()
-	par.For(rows, workers, func(lo, hi int) {
-		for iy := lo; iy < hi; iy++ {
-			p.px.ForwardReal(dst[iy*hx:(iy+1)*hx], src[iy*p.nx:(iy+1)*p.nx])
-		}
-	})
-	clear(dst[rows*hx:])
-	p.colPass(dst, hx, false, workers)
+	p.rowsForward(dst, src, rows, workers)
+	p.colPass(dst, hx, rows, p.ny, false, workers)
 }
 
 // InverseRealTo computes the real 2D inverse DFT (including the
@@ -230,21 +224,17 @@ func (p *Plan2D) InverseRealTo(dst []float64, src []complex128) {
 	p.inverseReal(dst, src, 1/float64(p.nx*p.ny), p.ny)
 }
 
-// InverseRealRowsTo is InverseRealTo for a caller that reads only dst
-// rows [0, rows): the final row pass runs over those rows alone and
-// leaves the rest of dst untouched. Each output row depends only on its
-// own column-pass row, so the rows written equal InverseRealTo's value
-// for value. src is consumed.
-func (p *Plan2D) InverseRealRowsTo(dst []float64, src []complex128, rows int) {
-	p.inverseReal(dst, src, 1/float64(p.nx*p.ny), rows)
-}
-
 // InverseRealUnscaledTo is InverseRealTo without the 1/(nx·ny) factor.
 // src is consumed.
 func (p *Plan2D) InverseRealUnscaledTo(dst []float64, src []complex128) {
 	p.inverseReal(dst, src, 1, p.ny)
 }
 
+// inverseReal is the scaled 2D inverse for a caller that reads only dst
+// rows [0, rows): the final row pass runs over those rows alone and
+// leaves the rest of dst untouched. Each output row depends only on its
+// own column-pass row, so the rows written equal the full inverse's
+// value for value. src is consumed.
 func (p *Plan2D) inverseReal(dst []float64, src []complex128, scale float64, rows int) {
 	hx := p.HalfNx()
 	if len(dst) != p.nx*p.ny || len(src) != hx*p.ny {
@@ -253,7 +243,94 @@ func (p *Plan2D) inverseReal(dst []float64, src []complex128, scale float64, row
 	}
 	p.checkRows(rows)
 	workers := p.workerBound()
-	p.colPass(src, hx, true, workers)
+	p.colPass(src, hx, p.ny, rows, true, workers)
+	p.rowsInverse(dst, src, scale, rows, workers)
+}
+
+// CorrelateRealRows computes the circular cross-correlation of the real
+// nx×ny array src with a real kernel whose 2D half-spectrum (ForwardReal
+// of the kernel zero-padded to nx×ny) is K:
+//
+//	dst = IRFFT(RFFT(src)·conj(K)),   including the 1/(nx·ny) factor,
+//
+// kHat holds K column-major, the order the column pass reads it in: bin
+// (kx, ky) at kHat[kx*ny+ky] (ColumnMajor converts ForwardReal's
+// output).
+// reading only src rows [0, inRows) (the rest are taken as zero) and
+// writing only dst rows [0, outRows). The column pass is fused: each
+// column block is gathered once, runs the forward column transform, the
+// spectral multiply and the inverse column transform while it is
+// cache-resident, and scatters only the rows the final row pass reads.
+// The values equal the unfused sequence (forward, multiply every bin by
+// conj(K), inverse) value for value.
+//
+// Buffers are row-bounded: src needs only its inRows rows of nx
+// samples, dst its outRows rows, and the scratch work max(inRows,
+// outRows) rows of HalfNx bins; kHat is the full spectrum.
+// Longer buffers are fine, and samples past those rows are neither read
+// nor written. dst may alias src, which is fully read before dst is
+// written.
+func (p *Plan2D) CorrelateRealRows(dst, src []float64, kHat, work []complex128, inRows, outRows int) {
+	hx := p.HalfNx()
+	if len(src) < inRows*p.nx || len(dst) < outRows*p.nx || len(kHat) != hx*p.ny || len(work) < hx*max(inRows, outRows) {
+		panic(fmt.Sprintf("fft: CorrelateRealRows buffers too short: plan %dx%d, rows %d→%d, dst %d, src %d, kHat %d, work %d",
+			p.nx, p.ny, inRows, outRows, len(dst), len(src), len(kHat), len(work)))
+	}
+	p.checkRows(inRows)
+	p.checkRows(outRows)
+	workers := p.workerBound()
+	p.rowsForward(work, src, inRows, workers)
+	p.colBlocks(work, hx, inRows, outRows, workers, func(buf []complex128, x0, bw int) {
+		for b := 0; b < bw; b++ {
+			col := buf[b*p.ny : (b+1)*p.ny]
+			p.py.transform(col, col, false)
+			mulConj(col, kHat[(x0+b)*p.ny:(x0+b+1)*p.ny])
+			p.py.transform(col, col, true)
+		}
+	})
+	p.rowsInverse(dst, work, 1/float64(p.nx*p.ny), outRows, workers)
+}
+
+// mulConj multiplies x by the conjugate of k elementwise.
+func mulConj(x, k []complex128) {
+	k = k[:len(x)]
+	for i, t := range k {
+		x[i] *= complex(real(t), -imag(t))
+	}
+}
+
+// ColumnMajor returns the half-spectrum spec (HalfNx×ny, row-major, as
+// ForwardReal writes it) in column-major order, the kHat layout
+// CorrelateRealRows reads.
+func (p *Plan2D) ColumnMajor(spec []complex128) []complex128 {
+	hx := p.HalfNx()
+	if len(spec) != hx*p.ny {
+		panic(fmt.Sprintf("fft: ColumnMajor length mismatch: plan %dx%d, spec %d", p.nx, p.ny, len(spec)))
+	}
+	out := make([]complex128, len(spec))
+	for iy := 0; iy < p.ny; iy++ {
+		for kx, v := range spec[iy*hx : (iy+1)*hx] {
+			out[kx*p.ny+iy] = v
+		}
+	}
+	return out
+}
+
+// rowsForward runs the real forward transform of src rows [0, rows)
+// into the matching half-spectrum rows of dst.
+func (p *Plan2D) rowsForward(dst []complex128, src []float64, rows, workers int) {
+	hx := p.HalfNx()
+	par.For(rows, workers, func(lo, hi int) {
+		for iy := lo; iy < hi; iy++ {
+			p.px.ForwardReal(dst[iy*hx:(iy+1)*hx], src[iy*p.nx:(iy+1)*p.nx])
+		}
+	})
+}
+
+// rowsInverse runs the scaled real inverse transform of src rows
+// [0, rows) into the matching rows of dst.
+func (p *Plan2D) rowsInverse(dst []float64, src []complex128, scale float64, rows, workers int) {
+	hx := p.HalfNx()
 	par.For(rows, workers, func(lo, hi int) {
 		for iy := lo; iy < hi; iy++ {
 			p.px.inverseReal(dst[iy*p.nx:(iy+1)*p.nx], src[iy*hx:(iy+1)*hx], scale)

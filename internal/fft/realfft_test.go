@@ -233,7 +233,7 @@ func TestRowBoundedRealMatchesFull(t *testing.T) {
 			for i := range got {
 				got[i] = complex(math.NaN(), math.NaN()) // stale workspace
 			}
-			p.ForwardRealRows(got, src, rows)
+			p.forwardRealRows(got, src, rows)
 			for i := range want {
 				if !approx.ExactC(got[i], want[i]) {
 					t.Fatalf("%dx%d rows=%d: forward bin %d = %v, want %v", c.nx, c.ny, rows, i, got[i], want[i])
@@ -246,7 +246,7 @@ func TestRowBoundedRealMatchesFull(t *testing.T) {
 			for i := range part {
 				part[i] = 7
 			}
-			p.InverseRealRowsTo(part, want, rows)
+			p.inverseReal(part, want, 1/float64(c.nx*c.ny), rows)
 			for i := range part {
 				w := full[i]
 				if i >= rows*c.nx {
@@ -269,7 +269,107 @@ func TestRowBoundPanicsOutOfRange(t *testing.T) {
 					t.Errorf("rows=%d: want panic", rows)
 				}
 			}()
-			p.ForwardRealRows(make([]complex128, 20), make([]float64, 32), rows)
+			p.forwardRealRows(make([]complex128, 20), make([]float64, 32), rows)
+		}()
+	}
+}
+
+// TestCorrelateRealRowsMatchesUnfused: the fused correlate call equals
+// the unfused sequence (row-bounded forward, multiply every bin by the
+// kernel spectrum's conjugate, row-bounded inverse) value for value, at
+// power-of-two sizes, Bluestein sizes and mixed ones, over several
+// (inRows, outRows) pairs: once with full-size buffers where dst aliases
+// src and the rows past outRows keep their old values, and once with
+// buffers cut to the rows the call reads and writes.
+func TestCorrelateRealRowsMatchesUnfused(t *testing.T) {
+	for _, c := range []struct{ nx, ny int }{{64, 32}, {32, 64}, {16, 16}, {12, 10}, {8, 7}, {6, 1}, {1, 8}} {
+		p := MustPlan2D(c.nx, c.ny)
+		hx := p.HalfNx()
+		kHat := make([]complex128, hx*c.ny)
+		p.ForwardReal(kHat, realSeq(c.nx*c.ny, uint64(c.nx*7+c.ny)))
+		kCols := p.ColumnMajor(kHat)
+		for _, rows := range [][2]int{{c.ny, c.ny}, {c.ny, 1}, {1, c.ny}, {(c.ny + 1) / 2, c.ny / 2}, {c.ny - 1, c.ny - 1}, {0, c.ny}, {c.ny, 0}} {
+			inRows, outRows := rows[0], rows[1]
+			if inRows < 0 || outRows < 0 {
+				continue
+			}
+			src := realSeq(c.nx*c.ny, uint64(c.nx*131+inRows*17+outRows))
+			clear(src[inRows*c.nx:])
+			spec := make([]complex128, hx*c.ny)
+			p.forwardRealRows(spec, src, inRows)
+			for i, k := range kHat {
+				spec[i] *= complex(real(k), -imag(k))
+			}
+			want := make([]float64, c.nx*c.ny)
+			p.inverseReal(want, spec, 1/float64(c.nx*c.ny), outRows)
+
+			got := append([]float64(nil), src...)
+			for i := inRows * c.nx; i < len(got); i++ {
+				got[i] = math.NaN() // unread rows
+			}
+			work := make([]complex128, hx*c.ny)
+			for i := range work {
+				work[i] = complex(math.NaN(), math.NaN()) // stale workspace
+			}
+			p.CorrelateRealRows(got, got, kCols, work, inRows, outRows)
+			// Row-bounded buffers, cut to exactly the rows the call
+			// reads and writes, give the same values.
+			short := make([]float64, outRows*c.nx)
+			p.CorrelateRealRows(short, src[:inRows*c.nx:inRows*c.nx], kCols, make([]complex128, hx*max(inRows, outRows)), inRows, outRows)
+			for i, v := range short {
+				if !approx.Exact(v, want[i]) {
+					t.Fatalf("%dx%d rows %d→%d, short buffers: sample %d = %v, want %v", c.nx, c.ny, inRows, outRows, i, v, want[i])
+				}
+			}
+			for i := range want {
+				w := want[i]
+				if i >= outRows*c.nx {
+					w = math.NaN()
+					if i < inRows*c.nx {
+						w = src[i]
+					}
+				}
+				if !approx.Exact(got[i], w) && !(math.IsNaN(got[i]) && math.IsNaN(w)) {
+					t.Fatalf("%dx%d rows %d→%d: sample %d = %v, want %v", c.nx, c.ny, inRows, outRows, i, got[i], w)
+				}
+			}
+		}
+	}
+}
+
+func TestCorrelateRealRowsPanics(t *testing.T) {
+	p := MustPlan2D(8, 4)
+	n, h := 32, p.HalfNx()*4
+	for name, f := range map[string]func(){
+		"inRows -1": func() {
+			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, h), make([]complex128, h), -1, 4)
+		},
+		"inRows 5": func() {
+			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, h), make([]complex128, h), 5, 4)
+		},
+		"outRows -1": func() {
+			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, h), make([]complex128, h), 4, -1)
+		},
+		"outRows 5": func() {
+			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, h), make([]complex128, h), 4, 5)
+		},
+		"short kHat": func() {
+			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, h-1), make([]complex128, h), 4, 4)
+		},
+		"short work": func() {
+			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, h), make([]complex128, h-1), 4, 4)
+		},
+		"short dst": func() {
+			p.CorrelateRealRows(make([]float64, n-1), make([]float64, n), make([]complex128, h), make([]complex128, h), 4, 4)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: want panic", name)
+				}
+			}()
+			f()
 		}()
 	}
 }

@@ -2,6 +2,7 @@ package inhomo
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"roughsurface/internal/approx"
@@ -265,61 +266,72 @@ func sharedMask(masks [][]bool) []bool {
 	return first
 }
 
-// noisePlane is a window's shared noise plane: the field at precision
-// F over the window plus the largest halo among its readers, row-major
-// at stride pnx from lattice point (pi0, pj0). Every component reads
-// the same seed's field, so one plane serves all tiles and all
-// readers, and the Box–Muller transform (log/sqrt/cos per sample, the
-// dominant cost of small-kernel rendering) runs once per lattice point
-// instead of once per tile per component.
+// noisePlane is a window's shared noise plane: the float64 field over
+// the window's columns plus the largest halo among its active
+// components, row-major at stride pnx from lattice point (pi0, pj0).
+// Every component reads the same seed's field, so every render of the
+// window reads this one plane, whatever its engine and precision
+// (convgen.ConvolvePlaneInto), and the Box–Muller transform (log, sqrt
+// and cos per sample) runs once per lattice point instead of once per
+// tile per component. A plane read is bit-identical to the
+// self-contained render (DESIGN.md §13).
 //
-// The rule is the same at both precisions: component m reads the plane
-// iff it is active somewhere in the window and its engine at the
-// window size is direct. A plane read is bit-identical to the
-// self-contained direct engine. Every other component renders
-// self-contained, choosing its engine at the size it renders (tile or
-// window). No plane is built when nothing reads it (DESIGN.md §13).
-type noisePlane[F simd.Float] struct {
-	data     []F
+// The plane holds a band of rows at a time. cover slides it down the
+// window: rows the next band shares with the last (its halo) are moved,
+// not refilled, so each lattice point is filled once however many bands
+// the window takes.
+type noisePlane struct {
+	data     []float64 // rows × pnx resident samples
 	pnx      int
-	pi0, pj0 int64
-	reads    []bool // per component
+	pi0, pj0 int64 // lattice point of data[0]
+	rows     int
+	top      int // halo rows a band needs above its first output row
+	halo     int // halo rows above plus below
 }
 
-// newNoisePlane builds the plane of an nx×ny window whose component m
-// is active somewhere iff active[m].
-func newNoisePlane[F simd.Float](g *Generator, i0, j0 int64, nx, ny int, active []bool) *noisePlane[F] {
-	p := &noisePlane[F]{reads: make([]bool, len(g.kernels))}
-	readers := 0
+// newNoisePlane sizes the plane of an nx-wide window at lattice column
+// i0 whose component m is active somewhere iff active[m]. It holds no
+// rows until cover is called.
+func newNoisePlane(g *Generator, i0 int64, nx int, active []bool) *noisePlane {
 	var l, r, t, b int
 	for m, k := range g.kernels {
-		if !active[m] || g.convs[m].EngineFor(nx, ny) != convgen.EngineDirect {
-			continue
+		if active[m] {
+			l, r = max(l, k.CX), max(r, k.Nx-1-k.CX)
+			t, b = max(t, k.CY), max(b, k.Ny-1-k.CY)
 		}
-		p.reads[m] = true
-		readers++
-		l, r = max(l, k.CX), max(r, k.Nx-1-k.CX)
-		t, b = max(t, k.CY), max(b, k.Ny-1-k.CY)
 	}
-	if readers == 0 {
-		return p
-	}
-	p.pnx = nx + l + r
-	p.pi0, p.pj0 = i0-int64(l), j0-int64(t)
-	p.data = make([]F, p.pnx*(ny+t+b))
-	convgen.FillPlane(g.convs[0], p.data, p.pnx, p.pi0, p.pj0, g.Workers)
-	return p
+	return &noisePlane{pnx: nx + l + r, pi0: i0 - int64(l), top: t, halo: t + b}
 }
 
-// render renders component m over the window (i0, j0, nx, ny) into dst
-// at the given row stride: from the plane when m reads it, through the
-// self-contained convolution otherwise.
-func (p *noisePlane[F]) render(g *Generator, m int, dst []F, stride int, i0, j0 int64, nx, ny, workers int) {
-	if p.reads[m] {
-		convgen.ConvolvePlaneInto(g.convs[m], dst, stride, p.data, p.pnx, p.pi0, p.pj0, i0, j0, nx, ny, workers)
-		return
+// cover makes the plane hold the noise that output rows [y0, y1) of a
+// window at lattice row j0 read: lattice rows [j0+y0−top, j0+y1+bottom).
+// Rows it already holds are moved to the top of the buffer and only the
+// rest are filled, with up to g.Workers goroutines. The buffer is sized
+// by the first band, the tallest one, and reused for the rest.
+func (p *noisePlane) cover(g *Generator, j0 int64, y0, y1 int) {
+	lo := j0 + int64(y0) - int64(p.top)
+	n := y1 - y0 + p.halo
+	keep := 0
+	if p.rows > 0 && lo >= p.pj0 && lo < p.pj0+int64(p.rows) {
+		keep = min(int(p.pj0+int64(p.rows)-lo), n)
 	}
-	convgen.RenderInto(g.convs[m], dst, stride, i0, j0, nx, ny, workers)
+	buf := p.data
+	if cap(buf) < n*p.pnx {
+		buf = make([]float64, n*p.pnx)
+	}
+	buf = buf[:n*p.pnx]
+	if keep > 0 {
+		from := int(lo-p.pj0) * p.pnx
+		copy(buf, p.data[from:from+keep*p.pnx])
+	}
+	p.data, p.pj0, p.rows = buf, lo, n
+	convgen.FillPlane(g.convs[0], buf[keep*p.pnx:], p.pnx, p.pi0, lo+int64(keep), g.Workers)
+}
+
+// renderPlane renders component m over the window (i0, j0, nx, ny) into
+// dst at the given row stride, reading its noise from the plane.
+func renderPlane[F simd.Float](g *Generator, p *noisePlane, m int, dst []F, stride int, i0, j0 int64, nx, ny, workers int) {
+	convgen.ConvolvePlaneInto(g.convs[m], dst, stride, p.data, p.pnx, p.pi0, p.pj0, i0, j0, nx, ny, workers)
 }
 
 // generateTiled is the sparse engine: each tile runs only its active
@@ -329,36 +341,57 @@ func (p *noisePlane[F]) render(g *Generator, m int, dst []F, stride int, i0, j0 
 // their costs are heterogeneous — a seam tile with three active
 // components costs several times an interior tile — and static chunking
 // would idle workers behind the expensive ones.
+//
+// The tiles run in bands of whole tile rows, and the noise plane slides
+// from band to band (DESIGN.md §9). A band is the fewest tile rows whose
+// nominal height covers the plane's halo, so at most a band plus its
+// halo is resident and each band refills at least half the plane.
 func generateTiled[F simd.Float](g *Generator, dst []F, nx, ny int, i0, j0 int64, tiles []grid.Tile, masks [][]bool) {
 	anywhere := make([]bool, len(g.kernels))
 	for _, mask := range masks {
+		if !slices.Contains(mask, true) {
+			// A conservative mask can never be all-false under a
+			// partition of unity; guard against a broken custom masker
+			// anyway by rendering every component there.
+			for m := range mask {
+				mask[m] = true
+			}
+		}
 		for m, on := range mask {
 			anywhere[m] = anywhere[m] || on
 		}
 	}
-	plane := newNoisePlane[F](g, i0, j0, nx, ny, anywhere)
-	par.Dynamic(len(tiles), g.Workers, func(t int) {
-		renderTile(g, dst, nx, i0, j0, tiles[t], masks[t], plane)
-	})
+	plane := newNoisePlane(g, i0, nx, anywhere)
+	// rowStart[r] is the index of tile row r's first tile.
+	var rowStart []int
+	for t, tile := range tiles {
+		if t == 0 || tile.Y0 != tiles[t-1].Y0 {
+			rowStart = append(rowStart, t)
+		}
+	}
+	rowStart = append(rowStart, len(tiles))
+	ts := g.tileSize()
+	per := max(1, (plane.halo+ts-1)/ts)
+	for r := 0; r+1 < len(rowStart); r += per {
+		lo, hi := rowStart[r], rowStart[min(r+per, len(rowStart)-1)]
+		y0, y1 := tiles[lo].Y0, tiles[hi-1].Y0+tiles[hi-1].Ny
+		plane.cover(g, j0, y0, y1)
+		par.Dynamic(hi-lo, g.Workers, func(t int) {
+			renderTile(g, dst, nx, i0, j0, tiles[lo+t], masks[lo+t], plane)
+		})
+	}
 }
 
 // renderTile materializes one tile of the window in place; the window
 // is dst at row stride nx. The tile is the unit of parallelism, so the
 // per-component generation below runs single-worker.
-func renderTile[F simd.Float](g *Generator, dst []F, nx int, i0, j0 int64, t grid.Tile, mask []bool, plane *noisePlane[F]) {
+func renderTile[F simd.Float](g *Generator, dst []F, nx int, i0, j0 int64, t grid.Tile, mask []bool, plane *noisePlane) {
 	pool := arenaPool[F](g)
 	ar := pool.Get().(*tileArena[F])
 	defer pool.Put(ar)
 	active := ar.active[:0]
 	for m, on := range mask {
 		if on {
-			active = append(active, m)
-		}
-	}
-	if len(active) == 0 {
-		// A conservative mask can never be all-false under a partition
-		// of unity; guard against a broken custom masker anyway.
-		for m := range mask {
 			active = append(active, m)
 		}
 	}
@@ -370,7 +403,7 @@ func renderTile[F simd.Float](g *Generator, dst []F, nx int, i0, j0 int64, t gri
 		// Sole active component ⇒ its weight is identically 1 on the
 		// tile (weights sum to 1 and the rest are provably zero):
 		// generate straight into the output rows, no blend pass.
-		plane.render(g, active[0], dst[base:], nx, ti0, tj0, t.Nx, t.Ny, 1)
+		renderPlane(g, plane, active[0], dst[base:], nx, ti0, tj0, t.Nx, t.Ny, 1)
 		return
 	}
 
@@ -381,7 +414,7 @@ func renderTile[F simd.Float](g *Generator, dst []F, nx int, i0, j0 int64, t gri
 	fields := ar.fields[:len(active)]
 	for s, m := range active {
 		fields[s] = grow(fields[s], n)
-		plane.render(g, m, fields[s], t.Nx, ti0, tj0, t.Nx, t.Ny, 1)
+		renderPlane(g, plane, m, fields[s], t.Nx, ti0, tj0, t.Nx, t.Ny, 1)
 	}
 	ar.fields = fields[:cap(fields)]
 	w := grow(ar.w, len(mask))
@@ -441,11 +474,12 @@ func generateDense[F simd.Float](g *Generator, dst []F, nx, ny int, i0, j0 int64
 		convgen.RenderInto(g.convs[act[0]], dst, nx, i0, j0, nx, ny, g.Workers)
 		return
 	}
-	plane := newNoisePlane[F](g, i0, j0, nx, ny, active)
+	plane := newNoisePlane(g, i0, nx, active)
+	plane.cover(g, j0, 0, ny)
 	fields := make([][]F, len(act))
 	for s, m := range act {
 		fields[s] = make([]F, nx*ny)
-		plane.render(g, m, fields[s], nx, i0, j0, nx, ny, g.Workers)
+		renderPlane(g, plane, m, fields[s], nx, i0, j0, nx, ny, g.Workers)
 	}
 	par.For(ny, g.Workers, func(lo, hi int) {
 		w := make([]float64, len(g.kernels))

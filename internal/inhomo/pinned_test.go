@@ -230,3 +230,40 @@ func TestFFTSoleTile32MatchesHomogeneous(t *testing.T) {
 		t.Fatal("no tile with a sole FFT-engine component")
 	}
 }
+
+// TestFigure3Window512PinnedBytes pins a 512² Figure 3 window at
+// (−256, −256) at both precisions on amd64, rendered through
+// EngineAuto. Its tile masks vary, so it renders tiled, and its tiles
+// mix the 251² pond component (FFT on a 64² tile) with the 97² ground
+// component (direct). The window is eight tile rows tall, taller than
+// the largest component's halo, so a band schedule over the noise plane
+// must slide at least once to cover it.
+func TestFigure3Window512PinnedBytes(t *testing.T) {
+	const i0, j0, n = -256, -256, 512
+	sc := figures.Figure3(figures.Size, 1).Scene
+	c := components(t, sc)
+	engines := map[convgen.Engine]bool{}
+	halo := 0
+	for _, k := range c.Kernels {
+		engines[convgen.NewGenerator(k, sc.Seed).EngineFor(64, 64)] = true
+		halo = max(halo, k.Ny-1)
+	}
+	if !engines[convgen.EngineDirect] || !engines[convgen.EngineFFT] {
+		t.Fatalf("tile engines %v, want both direct and FFT", engines)
+	}
+	if 2*halo > n {
+		t.Fatalf("halo %d rows: a %d-row window would fit one band", halo, n)
+	}
+	gen := inhomo.MustGenerator(c.Kernels, c.Blender, sc.Seed)
+	if masksUniform(inhomo.TileMasks(gen, i0, j0, n, n)) {
+		t.Fatal("window masks are uniform; want the tiled path")
+	}
+	t.Run("f64", func(t *testing.T) {
+		checkPinned(t, sha(t, gen.GenerateAt(i0, j0, n, n).Data),
+			"f22b9de1792b1813cf25888dd2022db36347f23b6b204335dbf0fe76e469666c")
+	})
+	t.Run("f32", func(t *testing.T) {
+		checkPinned(t, sha(t, gen.GenerateAt32(i0, j0, n, n).Data),
+			"b5283f238317d24aa4f8ea3c8ec28f0bddb85bb3a08dd35e85301a28122cf38f")
+	})
+}

@@ -367,3 +367,222 @@ mdstsc:
 mddone:
 	VZEROUPPER
 	RET
+
+// func macRow64AVX512(taps, noise, dst []float64)
+//
+// The AVX-512 float64 MAC row: 32 doubles (four 8-lane ZMM vectors)
+// per main block, then 8-double blocks, then one masked block for the
+// last 1–7. Like the VEX kernels it multiplies and adds separately (no
+// FMA) and adds taps in order, so every lane rounds exactly as the
+// pure-Go loop does. The masked tail loads with zeroing; masked-off
+// lanes never fault and are never stored, so reads past the end of
+// noise or dst are suppressed.
+TEXT ·macRow64AVX512(SB), NOSPLIT, $0-72
+	MOVQ taps_base+0(FP), R8
+	MOVQ taps_len+8(FP), R9
+	MOVQ noise_base+24(FP), R10
+	MOVQ dst_base+48(FP), DI
+	MOVQ dst_len+56(FP), CX
+
+zdblk32:
+	CMPQ    CX, $32
+	JL      zdblk8
+	VMOVUPD (DI), Z1
+	VMOVUPD 64(DI), Z2
+	VMOVUPD 128(DI), Z3
+	VMOVUPD 192(DI), Z4
+	MOVQ    R8, SI
+	MOVQ    R10, DX
+	MOVQ    R9, BX
+	TESTQ   BX, BX
+	JZ      zdst32
+
+zdtap32:
+	VBROADCASTSD (SI), Z0
+	VMULPD       (DX), Z0, Z5
+	VMULPD       64(DX), Z0, Z6
+	VMULPD       128(DX), Z0, Z7
+	VMULPD       192(DX), Z0, Z8
+	VADDPD       Z5, Z1, Z1
+	VADDPD       Z6, Z2, Z2
+	VADDPD       Z7, Z3, Z3
+	VADDPD       Z8, Z4, Z4
+	ADDQ         $8, SI
+	ADDQ         $8, DX
+	DECQ         BX
+	JNZ          zdtap32
+
+zdst32:
+	VMOVUPD Z1, (DI)
+	VMOVUPD Z2, 64(DI)
+	VMOVUPD Z3, 128(DI)
+	VMOVUPD Z4, 192(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, R10
+	SUBQ    $32, CX
+	JMP     zdblk32
+
+zdblk8:
+	CMPQ    CX, $8
+	JL      zdtail
+	VMOVUPD (DI), Z1
+	MOVQ    R8, SI
+	MOVQ    R10, DX
+	MOVQ    R9, BX
+	TESTQ   BX, BX
+	JZ      zdst8
+
+zdtap8:
+	VBROADCASTSD (SI), Z0
+	VMULPD       (DX), Z0, Z5
+	VADDPD       Z5, Z1, Z1
+	ADDQ         $8, SI
+	ADDQ         $8, DX
+	DECQ         BX
+	JNZ          zdtap8
+
+zdst8:
+	VMOVUPD Z1, (DI)
+	ADDQ    $64, DI
+	ADDQ    $64, R10
+	SUBQ    $8, CX
+	JMP     zdblk8
+
+zdtail:
+	TESTQ     CX, CX
+	JZ        zddone
+	MOVQ      $1, AX
+	SHLQ      CX, AX
+	DECQ      AX
+	KMOVW     AX, K1
+	VMOVUPD.Z (DI), K1, Z1
+	MOVQ      R8, SI
+	MOVQ      R10, DX
+	MOVQ      R9, BX
+	TESTQ     BX, BX
+	JZ        zdsttail
+
+zdtaptail:
+	VBROADCASTSD (SI), Z0
+	VMOVUPD.Z    (DX), K1, Z5
+	VMULPD       Z5, Z0, Z5
+	VADDPD       Z5, Z1, Z1
+	ADDQ         $8, SI
+	ADDQ         $8, DX
+	DECQ         BX
+	JNZ          zdtaptail
+
+zdsttail:
+	VMOVUPD Z1, K1, (DI)
+
+zddone:
+	VZEROUPPER
+	RET
+
+// func macRow32AVX512(taps, noise, dst []float32)
+//
+// The AVX-512 float32 MAC row: 64 floats (four 16-lane ZMM vectors)
+// per main block, then 16-float blocks, then one masked block for the
+// last 1–15; separate multiply and add, taps in order, bit-identical
+// to the pure-Go loop (see macRow64AVX512).
+TEXT ·macRow32AVX512(SB), NOSPLIT, $0-72
+	MOVQ taps_base+0(FP), R8
+	MOVQ taps_len+8(FP), R9
+	MOVQ noise_base+24(FP), R10
+	MOVQ dst_base+48(FP), DI
+	MOVQ dst_len+56(FP), CX
+
+zsblk64:
+	CMPQ    CX, $64
+	JL      zsblk16
+	VMOVUPS (DI), Z1
+	VMOVUPS 64(DI), Z2
+	VMOVUPS 128(DI), Z3
+	VMOVUPS 192(DI), Z4
+	MOVQ    R8, SI
+	MOVQ    R10, DX
+	MOVQ    R9, BX
+	TESTQ   BX, BX
+	JZ      zsst64
+
+zstap64:
+	VBROADCASTSS (SI), Z0
+	VMULPS       (DX), Z0, Z5
+	VMULPS       64(DX), Z0, Z6
+	VMULPS       128(DX), Z0, Z7
+	VMULPS       192(DX), Z0, Z8
+	VADDPS       Z5, Z1, Z1
+	VADDPS       Z6, Z2, Z2
+	VADDPS       Z7, Z3, Z3
+	VADDPS       Z8, Z4, Z4
+	ADDQ         $4, SI
+	ADDQ         $4, DX
+	DECQ         BX
+	JNZ          zstap64
+
+zsst64:
+	VMOVUPS Z1, (DI)
+	VMOVUPS Z2, 64(DI)
+	VMOVUPS Z3, 128(DI)
+	VMOVUPS Z4, 192(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, R10
+	SUBQ    $64, CX
+	JMP     zsblk64
+
+zsblk16:
+	CMPQ    CX, $16
+	JL      zstail
+	VMOVUPS (DI), Z1
+	MOVQ    R8, SI
+	MOVQ    R10, DX
+	MOVQ    R9, BX
+	TESTQ   BX, BX
+	JZ      zsst16
+
+zstap16:
+	VBROADCASTSS (SI), Z0
+	VMULPS       (DX), Z0, Z5
+	VADDPS       Z5, Z1, Z1
+	ADDQ         $4, SI
+	ADDQ         $4, DX
+	DECQ         BX
+	JNZ          zstap16
+
+zsst16:
+	VMOVUPS Z1, (DI)
+	ADDQ    $64, DI
+	ADDQ    $64, R10
+	SUBQ    $16, CX
+	JMP     zsblk16
+
+zstail:
+	TESTQ     CX, CX
+	JZ        zsdone
+	MOVQ      $1, AX
+	SHLQ      CX, AX
+	DECQ      AX
+	KMOVW     AX, K1
+	VMOVUPS.Z (DI), K1, Z1
+	MOVQ      R8, SI
+	MOVQ      R10, DX
+	MOVQ      R9, BX
+	TESTQ     BX, BX
+	JZ        zssttail
+
+zstaptail:
+	VBROADCASTSS (SI), Z0
+	VMOVUPS.Z    (DX), K1, Z5
+	VMULPS       Z5, Z0, Z5
+	VADDPS       Z5, Z1, Z1
+	ADDQ         $4, SI
+	ADDQ         $4, DX
+	DECQ         BX
+	JNZ          zstaptail
+
+zssttail:
+	VMOVUPS Z1, K1, (DI)
+
+zsdone:
+	VZEROUPPER
+	RET

@@ -4,7 +4,8 @@ package simd
 
 // Assembly kernel selection on amd64. The VEX kernels need AVX register
 // state enabled by the OS as well as the CPU flag, so the check is the
-// full OSXSAVE → XGETBV → AVX2 chain, probed once at init.
+// full OSXSAVE → XGETBV → AVX2 chain, probed once at init; the AVX-512
+// kernels additionally need AVX512F and the opmask and ZMM state.
 
 // cpuid executes CPUID with the given leaf/subleaf (axpy_amd64.s).
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -18,14 +19,8 @@ func axpy64AVX(alpha float64, x, y []float64)
 func macRow32AVX(taps, noise, dst []float32)
 func macRow64AVX(taps, noise, dst []float64)
 
-var (
-	axpy32   = axpyGeneric32
-	axpy64   = axpyGeneric64
-	macRow32 = macRowGeneric32
-	macRow64 = macRowGeneric64
-
-	impl = "go"
-)
+func macRow32AVX512(taps, noise, dst []float32)
+func macRow64AVX512(taps, noise, dst []float64)
 
 func hasAVX2() bool {
 	const osxsave = 1 << 27
@@ -45,16 +40,31 @@ func hasAVX2() bool {
 	return b&(1<<5) != 0 // AVX2
 }
 
-func init() {
-	if hasAVX2() {
-		axpy32 = axpy32AVX
-		axpy64 = axpy64AVX
-		macRow32 = macRow32AVX
-		macRow64 = macRow64AVX
-		impl = "avx2"
+// hasAVX512 reports AVX512F on top of hasAVX2, with the OS saving the
+// XMM, YMM, opmask, upper-ZMM and high-ZMM state (XCR0 bits 1, 2, 5, 6
+// and 7).
+func hasAVX512() bool {
+	if !hasAVX2() {
+		return false
 	}
+	if lo, _ := xgetbv(); lo&0xE6 != 0xE6 {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&(1<<16) != 0 // AVX512F
 }
 
-// Impl reports which MAC kernel the dispatch selected ("go", "avx2" or
-// "neon") — surfaced in tests and the daemon's metrics.
-func Impl() string { return impl }
+// hostKernels lists the portable loops, then the AVX2 kernels and the
+// AVX-512 MAC rows where the CPU runs them. Axpy has no AVX-512 form:
+// it is memory-bound, and the AVX2 kernel is kept.
+func hostKernels() []kernelSet {
+	ks := []kernelSet{goKernels}
+	if !hasAVX2() {
+		return ks
+	}
+	ks = append(ks, kernelSet{"avx2", axpy32AVX, axpy64AVX, macRow32AVX, macRow64AVX})
+	if hasAVX512() {
+		ks = append(ks, kernelSet{"avx512", axpy32AVX, axpy64AVX, macRow32AVX512, macRow64AVX512})
+	}
+	return ks
+}

@@ -8,18 +8,11 @@ package simd
 func axpy32NEON(alpha float32, x, y []float32)
 func axpy64NEON(alpha float64, x, y []float64)
 
-var (
-	axpy32 = axpy32NEON
-	axpy64 = axpy64NEON
-
-	// The fused MAC row runs the portable blocked loop: the compiler
-	// emits scalar FMADD for its accumulate pattern, which rounds
-	// identically to the NEON kernels' FMLA, so composing axpy and
-	// fusing the row agree bit-for-bit on arm64 too.
-	macRow32 = macRowGeneric32
-	macRow64 = macRowGeneric64
-)
-
-// Impl reports which MAC kernel the dispatch selected ("go", "avx2" or
-// "neon") — surfaced in tests and the daemon's metrics.
-func Impl() string { return "neon" }
+// hostKernels lists the portable loops and the NEON set. The NEON set's
+// fused MAC row runs the portable blocked loop: the compiler emits
+// scalar FMADD for its accumulate pattern, which rounds identically to
+// the NEON kernels' FMLA, so composing axpy and fusing the row agree
+// bit-for-bit on arm64 too.
+func hostKernels() []kernelSet {
+	return []kernelSet{goKernels, {"neon", axpy32NEON, axpy64NEON, macRowGeneric32, macRowGeneric64}}
+}

@@ -5,13 +5,4 @@ package simd
 // Pure-Go build: every architecture without a hand-written kernel, and
 // any build with -tags noasm, runs the portable unrolled loop.
 
-var (
-	axpy32   = axpyGeneric32
-	axpy64   = axpyGeneric64
-	macRow32 = macRowGeneric32
-	macRow64 = macRowGeneric64
-)
-
-// Impl reports which MAC kernel the dispatch selected ("go", "avx2" or
-// "neon") — surfaced in tests and the daemon's metrics.
-func Impl() string { return "go" }
+func hostKernels() []kernelSet { return []kernelSet{goKernels} }

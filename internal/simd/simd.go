@@ -13,13 +13,19 @@
 // as the literal per-sample sum, so the reformulation is bit-identical
 // to the reference loop at both precisions — see DESIGN.md §13.
 //
-// Three implementations sit behind the dispatch:
+// Four implementations sit behind the dispatch, which picks the last
+// kernel set hostKernels lists:
 //
-//   - amd64: VEX-encoded 8-lane (float32) / 4-lane (float64) kernels,
-//     selected at init when CPUID reports AVX2 + OS YMM-state support.
-//     They use separate multiply and add (no FMA), so their results are
-//     bit-identical to the pure-Go fallback — the float64 reference
-//     engine produces the same bytes with and without assembly.
+//   - amd64 AVX-512: 16-lane (float32) / 8-lane (float64) ZMM MAC-row
+//     kernels with opmask tails, selected at init when CPUID reports
+//     AVX512F and XCR0 shows the OS saving opmask and ZMM state. Axpy
+//     keeps the AVX2 kernel.
+//   - amd64 AVX2: VEX-encoded 8-lane (float32) / 4-lane (float64)
+//     kernels, selected when CPUID reports AVX2 + OS YMM-state support.
+//     Both amd64 sets use separate multiply and add (no FMA), so their
+//     results are bit-identical to the pure-Go fallback — the float64
+//     reference engine produces the same bytes with and without
+//     assembly, on any amd64 CPU.
 //   - arm64: NEON kernels using FMLA. arm64 is allowed to fuse — the Go
 //     compiler already emits FMADD for the fallback's a*x + y pattern —
 //     so on arm64 both paths fuse and agreement with amd64 is only
@@ -27,6 +33,29 @@
 //   - pure Go: an 8-lane manually unrolled loop, the portable
 //     reference. Build with -tags noasm to force it everywhere.
 package simd
+
+// kernelSet is one implementation of the MAC primitives.
+type kernelSet struct {
+	name     string
+	axpy32   func(alpha float32, x, y []float32)
+	axpy64   func(alpha float64, x, y []float64)
+	macRow32 func(taps, noise, dst []float32)
+	macRow64 func(taps, noise, dst []float64)
+}
+
+// goKernels is the portable set every build can run.
+var goKernels = kernelSet{"go", axpyGeneric32, axpyGeneric64, macRowGeneric32, macRowGeneric64}
+
+// kernels is every set this build runs on this CPU, portable first and
+// most capable last; the exported kernels dispatch to chosen, the last.
+var (
+	kernels = hostKernels()
+	chosen  = kernels[len(kernels)-1]
+)
+
+// Impl reports which MAC kernel set the dispatch selected ("go",
+// "avx2", "avx512" or "neon"), surfaced in tests and benchmark names.
+func Impl() string { return chosen.name }
 
 // Float is the precision parameter of the generic render pipeline.
 type Float interface {
@@ -41,9 +70,9 @@ func Axpy[F Float](alpha F, x, y []F) {
 	}
 	switch ys := any(y).(type) {
 	case []float32:
-		axpy32(any(alpha).(float32), any(x).([]float32), ys)
+		chosen.axpy32(any(alpha).(float32), any(x).([]float32), ys)
 	case []float64:
-		axpy64(any(alpha).(float64), any(x).([]float64), ys)
+		chosen.axpy64(any(alpha).(float64), any(x).([]float64), ys)
 	default:
 		axpyGeneric(alpha, x, y)
 	}
@@ -54,7 +83,7 @@ func Axpy32(alpha float32, x, y []float32) {
 	if len(x) != len(y) {
 		panic("simd: Axpy32 length mismatch")
 	}
-	axpy32(alpha, x, y)
+	chosen.axpy32(alpha, x, y)
 }
 
 // Axpy64 is the float64 MAC kernel: y[i] += alpha·x[i].
@@ -62,7 +91,7 @@ func Axpy64(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("simd: Axpy64 length mismatch")
 	}
-	axpy64(alpha, x, y)
+	chosen.axpy64(alpha, x, y)
 }
 
 // MacRow32 fuses one full kernel row of multiply-accumulates:
@@ -85,7 +114,7 @@ func MacRow32(taps, noise, dst []float32) {
 	if len(noise) < len(taps)-1+len(dst) {
 		panic("simd: MacRow32 noise window shorter than taps-1+dst")
 	}
-	macRow32(taps, noise, dst)
+	chosen.macRow32(taps, noise, dst)
 }
 
 // MacRow64 is the float64 fused MAC-row kernel; see MacRow32.
@@ -93,7 +122,7 @@ func MacRow64(taps, noise, dst []float64) {
 	if len(noise) < len(taps)-1+len(dst) {
 		panic("simd: MacRow64 noise window shorter than taps-1+dst")
 	}
-	macRow64(taps, noise, dst)
+	chosen.macRow64(taps, noise, dst)
 }
 
 // axpyGeneric is the portable 8-lane manually unrolled MAC loop. The

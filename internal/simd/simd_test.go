@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -64,37 +65,51 @@ func TestAxpyMatchesReference(t *testing.T) {
 	}
 }
 
+// exactKernels is every kernel set the host runs that promises bit
+// equality with the portable loops: all but NEON, whose FMLA fuses
+// where the portable axpy may not.
+func exactKernels() []kernelSet {
+	var ks []kernelSet
+	for _, k := range kernels {
+		if k.name != "neon" {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}
+
 // TestAxpyBitExactVsFallback pins the DESIGN §13 invariant on amd64:
 // the VEX kernels use separate multiply and add, so they produce the
-// same bytes as the pure-Go unrolled fallback at both precisions.
+// same bytes as the pure-Go unrolled fallback at both precisions. Each
+// kernel set the host runs is called directly, not only the dispatched
+// one.
 func TestAxpyBitExactVsFallback(t *testing.T) {
-	if Impl() != "avx2" {
-		t.Skipf("dispatch selected %q; bit-exactness vs the fallback is only promised for avx2", Impl())
-	}
-	src := rng.NewSource(11)
-	for _, n := range testLengths {
-		x64 := fill64(src, n)
-		y64a := fill64(src, n)
-		y64b := append([]float64(nil), y64a...)
-		alpha := src.Float64()*2 - 1
-		Axpy64(alpha, x64, y64a)
-		axpyGeneric64(alpha, x64, y64b)
-		for i := range y64a {
-			if !approx.Exact(y64a[i], y64b[i]) {
-				t.Fatalf("Axpy64 n=%d: asm [%d] = %x, fallback %x", n, i, y64a[i], y64b[i])
+	for _, k := range exactKernels() {
+		src := rng.NewSource(11)
+		for _, n := range testLengths {
+			x64 := fill64(src, n)
+			y64a := fill64(src, n)
+			y64b := append([]float64(nil), y64a...)
+			alpha := src.Float64()*2 - 1
+			k.axpy64(alpha, x64, y64a)
+			axpyGeneric64(alpha, x64, y64b)
+			for i := range y64a {
+				if !approx.Exact(y64a[i], y64b[i]) {
+					t.Fatalf("%s axpy64 n=%d: [%d] = %x, fallback %x", k.name, n, i, y64a[i], y64b[i])
+				}
 			}
-		}
 
-		x32 := make([]float32, n)
-		narrow(x32, x64)
-		y32a := make([]float32, n)
-		narrow(y32a, fill64(src, n))
-		y32b := append([]float32(nil), y32a...)
-		Axpy32(float32(alpha), x32, y32a)
-		axpyGeneric32(float32(alpha), x32, y32b)
-		for i := range y32a {
-			if !approx.Exact(float64(y32a[i]), float64(y32b[i])) {
-				t.Fatalf("Axpy32 n=%d: asm [%d] = %x, fallback %x", n, i, y32a[i], y32b[i])
+			x32 := make([]float32, n)
+			narrow(x32, x64)
+			y32a := make([]float32, n)
+			narrow(y32a, fill64(src, n))
+			y32b := append([]float32(nil), y32a...)
+			k.axpy32(float32(alpha), x32, y32a)
+			axpyGeneric32(float32(alpha), x32, y32b)
+			for i := range y32a {
+				if !approx.Exact(float64(y32a[i]), float64(y32b[i])) {
+					t.Fatalf("%s axpy32 n=%d: [%d] = %x, fallback %x", k.name, n, i, y32a[i], y32b[i])
+				}
 			}
 		}
 	}
@@ -239,39 +254,46 @@ func TestMacRowBitExactVsAxpy(t *testing.T) {
 	}
 }
 
-// TestMacRowBitExactVsFallback pins the asm kernels against the
-// portable blocked loop on amd64, like TestAxpyBitExactVsFallback.
+// TestMacRowBitExactVsFallback pins every exact kernel set the host
+// runs (go, avx2, avx512 on an AVX-512 host), each called directly,
+// against the portable blocked loop bit for bit. Lengths run from 0 to
+// two of the widest main blocks plus a 7-sample tail (AVX-512 float32
+// blocks are 64 samples), and the tap counts include the paper-batch
+// rows (97 and 173 taps).
 func TestMacRowBitExactVsFallback(t *testing.T) {
-	if Impl() != "avx2" {
-		t.Skipf("dispatch selected %q; bit-exactness vs the fallback is only promised for avx2", Impl())
-	}
+	const maxLen = 2*64 + 7
 	src := rng.NewSource(19)
-	for _, taps := range []int{1, 7, 12} {
-		for _, n := range testLengths {
+	for _, k := range exactKernels() {
+		for _, taps := range []int{0, 1, 5, 97, 173} {
 			t64 := fill64(src, taps)
-			noise64 := fill64(src, taps+n)
-			d64a := fill64(src, n)
-			d64b := append([]float64(nil), d64a...)
-			MacRow64(t64, noise64, d64a)
-			macRowGeneric64(t64, noise64, d64b)
-			for i := range d64a {
-				if !approx.Exact(d64a[i], d64b[i]) {
-					t.Fatalf("MacRow64 taps=%d n=%d: asm [%d] = %x, fallback %x", taps, n, i, d64a[i], d64b[i])
-				}
-			}
-
+			noise64 := fill64(src, taps+maxLen)
 			t32 := make([]float32, taps)
-			noise32 := make([]float32, taps+n)
-			d32a := make([]float32, n)
+			noise32 := make([]float32, taps+maxLen)
 			narrow(t32, t64)
 			narrow(noise32, noise64)
-			narrow(d32a, fill64(src, n))
-			d32b := append([]float32(nil), d32a...)
-			MacRow32(t32, noise32, d32a)
-			macRowGeneric32(t32, noise32, d32b)
-			for i := range d32a {
-				if !approx.Exact(float64(d32a[i]), float64(d32b[i])) {
-					t.Fatalf("MacRow32 taps=%d n=%d: asm [%d] = %x, fallback %x", taps, n, i, d32a[i], d32b[i])
+			for n := 0; n <= maxLen; n++ {
+				// The noise slice is cut to the contract's minimum,
+				// taps−1+n samples (none for an empty tap row).
+				nl := max(taps-1+n, 0)
+				d64a := fill64(src, n)
+				d64b := append([]float64(nil), d64a...)
+				k.macRow64(t64, noise64[:nl:nl], d64a)
+				macRowGeneric64(t64, noise64[:nl:nl], d64b)
+				for i := range d64a {
+					if !approx.Exact(d64a[i], d64b[i]) {
+						t.Fatalf("%s macRow64 taps=%d n=%d: [%d] = %x, fallback %x", k.name, taps, n, i, d64a[i], d64b[i])
+					}
+				}
+
+				d32a := make([]float32, n)
+				narrow(d32a, fill64(src, n))
+				d32b := append([]float32(nil), d32a...)
+				k.macRow32(t32, noise32[:nl:nl], d32a)
+				macRowGeneric32(t32, noise32[:nl:nl], d32b)
+				for i := range d32a {
+					if !approx.Exact(float64(d32a[i]), float64(d32b[i])) {
+						t.Fatalf("%s macRow32 taps=%d n=%d: [%d] = %x, fallback %x", k.name, taps, n, i, d32a[i], d32b[i])
+					}
 				}
 			}
 		}
@@ -294,47 +316,57 @@ func TestMacRowShortNoisePanics(t *testing.T) {
 	}
 }
 
+// BenchmarkMacRow times every kernel set the host runs, called
+// directly, at three shapes: the tile-serving row (32 samples, 11 taps)
+// and the paper-batch rows (float64: a 64-wide tile row of the 173-tap
+// kernel; float32: a 256-wide row of the 23-tap kernel). The axpy
+// composition at the tile-serving shape is the baseline the fused row
+// replaced. SetBytes counts tap-samples, so MB/s reads as millions of
+// tap-samples per second.
 func BenchmarkMacRow(b *testing.B) {
-	// Tile-serving shape: 32-sample output rows, 11-tap kernel rows.
-	const n, taps = 32, 11
 	src := rng.NewSource(5)
-	t64 := fill64(src, taps)
-	noise64 := fill64(src, taps-1+n)
-	d64 := fill64(src, n)
-	b.Run("f64/"+Impl(), func(b *testing.B) {
-		b.SetBytes(8 * n * taps)
-		for i := 0; i < b.N; i++ {
-			MacRow64(t64, noise64, d64)
+	for _, sh := range []struct {
+		prec    string
+		n, taps int
+	}{{"f64", 32, 11}, {"f64", 64, 173}, {"f32", 32, 11}, {"f32", 256, 23}} {
+		t64 := fill64(src, sh.taps)
+		noise64 := fill64(src, sh.taps-1+sh.n)
+		d64 := fill64(src, sh.n)
+		t32 := make([]float32, sh.taps)
+		noise32 := make([]float32, len(noise64))
+		d32 := make([]float32, sh.n)
+		narrow(t32, t64)
+		narrow(noise32, noise64)
+		narrow(d32, d64)
+		shape := fmt.Sprintf("%s/%dx%d", sh.prec, sh.n, sh.taps)
+		for _, k := range kernels {
+			b.Run(shape+"/"+k.name, func(b *testing.B) {
+				b.SetBytes(int64(sh.n * sh.taps))
+				for i := 0; i < b.N; i++ {
+					if sh.prec == "f64" {
+						k.macRow64(t64, noise64, d64)
+					} else {
+						k.macRow32(t32, noise32, d32)
+					}
+				}
+			})
 		}
-	})
-	b.Run("f64/axpy", func(b *testing.B) {
-		b.SetBytes(8 * n * taps)
-		for i := 0; i < b.N; i++ {
-			for a, tap := range t64 {
-				Axpy64(tap, noise64[a:a+n], d64)
+		if sh.n != 32 {
+			continue
+		}
+		b.Run(shape+"/axpy", func(b *testing.B) {
+			b.SetBytes(int64(sh.n * sh.taps))
+			for i := 0; i < b.N; i++ {
+				for a := range t64 {
+					if sh.prec == "f64" {
+						Axpy64(t64[a], noise64[a:a+sh.n], d64)
+					} else {
+						Axpy32(t32[a], noise32[a:a+sh.n], d32)
+					}
+				}
 			}
-		}
-	})
-	t32 := make([]float32, taps)
-	noise32 := make([]float32, taps-1+n)
-	d32 := make([]float32, n)
-	narrow(t32, t64)
-	narrow(noise32, noise64)
-	narrow(d32, d64)
-	b.Run("f32/"+Impl(), func(b *testing.B) {
-		b.SetBytes(4 * n * taps)
-		for i := 0; i < b.N; i++ {
-			MacRow32(t32, noise32, d32)
-		}
-	})
-	b.Run("f32/axpy", func(b *testing.B) {
-		b.SetBytes(4 * n * taps)
-		for i := 0; i < b.N; i++ {
-			for a, tap := range t32 {
-				Axpy32(tap, noise32[a:a+n], d32)
-			}
-		}
-	})
+		})
+	}
 }
 
 func BenchmarkAxpy(b *testing.B) {

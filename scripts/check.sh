@@ -81,7 +81,7 @@ step_end
 # convolution agreement tests, no matter which architecture CI runs on.
 step_begin "cross-compile (arm64) + noasm fallback tests"
 GOARCH=arm64 go build ./...
-GOARCH=arm64 go vet ./internal/simd ./internal/rng ./internal/convgen ./internal/inhomo
+GOARCH=arm64 go vet ./internal/simd ./internal/rng ./internal/fft ./internal/convgen ./internal/inhomo
 go test -tags noasm ./internal/simd ./internal/rng ./internal/fft ./internal/convgen ./internal/inhomo
 step_end
 
