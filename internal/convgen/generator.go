@@ -340,8 +340,9 @@ func (g *Generator) convolveFFT(nx, ny int, sc *fftScratch, i0, j0 int64, worker
 }
 
 // cachedTapsHat returns the half-spectrum of the kernel zero-padded to
-// px×py, column-major as CorrelateRealRows reads it, computing and
-// caching it on first use for that size.
+// px×py, in the column-block layout CorrelateRealRows reads
+// (Plan2D.BlockInterleaved), computing and caching it on first use for
+// that size.
 func (g *Generator) cachedTapsHat(plan *fft.Plan2D, px, py int) []complex128 {
 	key := [2]int{px, py}
 	if hat := g.tapsHat.get(key); hat != nil {
@@ -354,7 +355,7 @@ func (g *Generator) cachedTapsHat(plan *fft.Plan2D, px, py int) []complex128 {
 	}
 	hat := make([]complex128, plan.HalfNx()*py)
 	plan.ForwardReal(hat, pad)
-	hat = plan.ColumnMajor(hat)
+	hat = plan.BlockInterleaved(hat)
 	g.tapsHat.put(key, hat)
 	return hat
 }

@@ -11,9 +11,9 @@ import (
 	"roughsurface/internal/figures"
 )
 
-// sha hashes float64 samples little-endian, row-major — the encoding
-// the figure and tile pins use.
-func sha(t *testing.T, samples []float64) string {
+// sha hashes samples little-endian, row-major, at their own width — the
+// encoding the figure and tile pins use.
+func sha(t *testing.T, samples any) string {
 	t.Helper()
 	h := sha256.New()
 	if err := binary.Write(h, binary.LittleEndian, samples); err != nil {
@@ -55,5 +55,41 @@ func TestFFTEnginePinnedBytes(t *testing.T) {
 				t.Errorf("sha256 %s, want %s", got, c.want)
 			}
 		})
+	}
+}
+
+// TestFFTEnginePinnedBlocks pins an FFT-engine render whose pad is not
+// square and whose column pass ends in a partial block: Figure 3's 97²
+// kernel over a 200×40 window pads to 512×256, so the half-spectrum
+// has 257 columns, sixteen full blocks and a last one of a single
+// column. Both render precisions are pinned on amd64, and every worker
+// count gives the same bytes.
+func TestFFTEnginePinnedBlocks(t *testing.T) {
+	comps, err := figures.Figure3(figures.Size, 1).Scene.Components()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := convgen.NewGenerator(comps.Kernels[1], 1)
+	gen.Engine = convgen.EngineFFT
+	const i0, j0, nx, ny = -57, 21, 200, 40
+	for _, workers := range []int{1, 3} {
+		d64 := make([]float64, nx*ny)
+		gen.GenerateAtInto(d64, nx, i0, j0, nx, ny, workers)
+		d32 := make([]float32, nx*ny)
+		gen.GenerateAtInto32(d32, nx, i0, j0, nx, ny, workers)
+		for _, c := range []struct {
+			prec      string
+			got, want string
+		}{
+			{"f64", sha(t, d64), "d9290ac68458d9640abf0c6c18d9eee864e7c0dd7e7e1f9408af55a5e6b49ff7"},
+			{"f32", sha(t, d32), "64ae462e69d5aa866b8c6aff6b118982d098c24fc99b6450aac99d9d6113e93b"},
+		} {
+			if runtime.GOARCH != "amd64" {
+				t.Skipf("bytes pinned on amd64 only; got %s", c.got)
+			}
+			if c.got != c.want {
+				t.Errorf("%s workers=%d: sha256 %s, want %s", c.prec, workers, c.got, c.want)
+			}
+		}
 	}
 }

@@ -148,10 +148,7 @@ func (p *Plan) radix2(a []complex128, inverse bool) {
 		a[start+1] = x1 + t3
 		a[start+3] = x1 - t3
 	}
-	tw := p.twiddle
-	if inverse {
-		tw = p.twidInv
-	}
+	tw := p.stageTw(inverse)
 	for size := 8; size <= n; size <<= 1 {
 		half := size >> 1
 		w := tw[half-4 : size-4 : size-4]
@@ -159,6 +156,15 @@ func (p *Plan) radix2(a []complex128, inverse bool) {
 			butterflies(w, a[start:start+half], a[start+half:start+size])
 		}
 	}
+}
+
+// stageTw returns the stage twiddles of one direction: the forward
+// table, or its conjugate for the inverse.
+func (p *Plan) stageTw(inverse bool) []complex128 {
+	if inverse {
+		return p.twidInv
+	}
+	return p.twiddle
 }
 
 // butterflies runs one radix-2 block: lo[k], hi[k] = lo[k] + w[k]·hi[k],

@@ -5,13 +5,15 @@ import (
 	"sync"
 
 	"roughsurface/internal/par"
+	"roughsurface/internal/simd"
 )
 
 // Plan2D performs two-dimensional transforms of row-major data
 // (ny rows of nx samples, index iy*nx+ix) by the row–column method.
-// Row passes operate on contiguous memory; column passes gather each
-// column into a pooled scratch buffer. Both passes are split across a
-// worker pool sized by Workers.
+// Row passes operate on contiguous memory; column passes gather blocks
+// of columns into a pooled scratch buffer and transform every column of
+// a block at once (colBlocks). Both passes are split across a worker
+// pool sized by Workers.
 type Plan2D struct {
 	nx, ny int
 	px, py *Plan
@@ -31,8 +33,13 @@ type Plan2D struct {
 
 // colBlock is the number of columns gathered per block in column
 // passes: 16 complex128 columns fill four 64-byte cache lines per row,
-// so every touched line is consumed fully.
-const colBlock = 16
+// so every touched line is consumed fully, and they are the lanes of
+// the simd column-block kernels.
+const colBlock = simd.BlockLanes
+
+// blockFFT is the column-block kernel set the transforms run; tests
+// and benchmarks pass each set the host runs instead.
+var blockFFT = simd.DefaultBlockFFT()
 
 // NewPlan2D creates a plan for nx×ny transforms. The 1D sub-plans are
 // drawn from the process-wide plan cache (they are immutable and safe
@@ -105,7 +112,7 @@ func (p *Plan2D) transform(data []complex128, inverse, scale bool) {
 		}
 	})
 
-	p.colPass(data, p.nx, p.ny, p.ny, inverse, workers)
+	p.colPass(blockFFT, data, p.nx, p.ny, p.ny, inverse, workers)
 
 	if scale {
 		s := complex(1/float64(p.nx*p.ny), 0)
@@ -120,27 +127,33 @@ func (p *Plan2D) transform(data []complex128, inverse, scale bool) {
 // colPass runs the length-ny transform down each of ncols columns of
 // data (row-major with row stride ncols; ncols is nx for full-spectrum
 // transforms and HalfNx for the real path), reading rows [0, inRows)
-// and writing back rows [0, outRows) as colBlocks does.
-func (p *Plan2D) colPass(data []complex128, ncols, inRows, outRows int, inverse bool, workers int) {
+// and writing back rows [0, outRows) as colBlocks does, with the
+// column-block kernels of k.
+func (p *Plan2D) colPass(k simd.BlockFFT, data []complex128, ncols, inRows, outRows int, inverse bool, workers int) {
 	p.colBlocks(data, ncols, inRows, outRows, workers, func(buf []complex128, _, bw int) {
-		for b := 0; b < bw; b++ {
-			col := buf[b*p.ny : (b+1)*p.ny]
-			p.py.transform(col, col, inverse)
+		if p.py.blu != nil {
+			p.eachLane(buf, bw, func(col []complex128, _ int) { p.py.transform(col, col, inverse) })
+			return
 		}
+		k.Stages(buf, p.py.stageTw(inverse), inverse)
 	})
 }
 
 // colBlocks runs fn over data's columns a block at a time. Each block
 // of bw ≤ colBlock columns starting at column x0 is gathered into a
-// column-major buffer (column b at buf[b*ny:(b+1)*ny]); fn works on it
-// in place, and the block is scattered back. Only data rows
-// [0, inRows) are read; the gather zeroes the rest, as if those rows
-// held zeros. Only rows [0, outRows) are written back; the rest of data
-// is left as it was. Blocks are gathered and scattered whole so every
-// touched cache line is consumed fully (a lone complex128 column stride
-// wastes 3/4 of each 64-byte line); the block buffers come from the
-// plan's pool so steady state allocates nothing.
+// row-interleaved buffer, column b of row iy at buf[iy*colBlock+b]
+// (one contiguous copy per row; lanes past bw are zeroed). For a
+// power-of-two ny the rows land in bit-reversed order, the order the
+// radix-2 stages start from, so the gather is also the transform's
+// permutation; for other lengths they stay in natural order. fn works
+// on the block in place and leaves its result in natural row order,
+// and the block is scattered back. Only data rows [0, inRows) are read;
+// the gather zeroes the rest, as if those rows held zeros. Only rows
+// [0, outRows) are written back; the rest of data is left as it was.
+// The block buffers come from the plan's pool so steady state
+// allocates nothing.
 func (p *Plan2D) colBlocks(data []complex128, ncols, inRows, outRows, workers int, fn func(buf []complex128, x0, bw int)) {
+	rev := p.py.rev
 	blocks := (ncols + colBlock - 1) / colBlock
 	par.For(blocks, workers, func(lo, hi int) {
 		bp := p.colBuf.Get().(*[]complex128)
@@ -148,25 +161,44 @@ func (p *Plan2D) colBlocks(data []complex128, ncols, inRows, outRows, workers in
 		for blk := lo; blk < hi; blk++ {
 			x0 := blk * colBlock
 			bw := min(colBlock, ncols-x0)
-			// Gather: row-major reads, column-major (contiguous per
-			// column) writes into buf.
-			for iy := 0; iy < inRows; iy++ {
-				src := data[iy*ncols+x0 : iy*ncols+x0+bw]
-				for b, v := range src {
-					buf[b*p.ny+iy] = v
+			for iy := 0; iy < p.ny; iy++ {
+				r := iy
+				if rev != nil {
+					r = rev[iy]
 				}
-			}
-			for b := 0; b < bw; b++ {
-				clear(buf[b*p.ny+inRows : (b+1)*p.ny])
+				row := buf[r*colBlock : (r+1)*colBlock]
+				if iy >= inRows {
+					clear(row)
+					continue
+				}
+				src := data[iy*ncols+x0 : iy*ncols+x0+bw]
+				copy(row, src)
+				clear(row[bw:])
 			}
 			fn(buf, x0, bw)
 			for iy := 0; iy < outRows; iy++ {
-				dst := data[iy*ncols+x0 : iy*ncols+x0+bw]
-				for b := range dst {
-					dst[b] = buf[b*p.ny+iy]
-				}
+				copy(data[iy*ncols+x0:iy*ncols+x0+bw], buf[iy*colBlock:])
 			}
 		}
 		p.colBuf.Put(bp)
 	})
+}
+
+// eachLane runs fn on each of the first bw lanes of a row-interleaved
+// block as a contiguous column: lane b is copied out to scratch, fn
+// works on it in place, and it is copied back. It serves the column
+// lengths the radix-2 block kernels cannot (Bluestein lengths).
+func (p *Plan2D) eachLane(buf []complex128, bw int, fn func(col []complex128, b int)) {
+	sp := p.py.getScratch()
+	col := *sp
+	for b := 0; b < bw; b++ {
+		for iy := range col {
+			col[iy] = buf[iy*colBlock+b]
+		}
+		fn(col, b)
+		for iy, v := range col {
+			buf[iy*colBlock+b] = v
+		}
+	}
+	p.py.putScratch(sp)
 }

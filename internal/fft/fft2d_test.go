@@ -54,6 +54,31 @@ func TestPlan2DMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestPlan2DBluesteinColumns: column lengths without a radix-2 path
+// run each lane of a column block through the one-dimensional
+// Bluestein transform. 12×20 is one partial block, 40×20 two full
+// blocks and a partial one; both directions agree with the naive DFT.
+func TestPlan2DBluesteinColumns(t *testing.T) {
+	for _, c := range []struct{ nx, ny int }{{12, 20}, {40, 20}} {
+		p := MustPlan2D(c.nx, c.ny)
+		if p.py.blu == nil {
+			t.Fatalf("%dx%d: column plan is radix-2, want Bluestein", c.nx, c.ny)
+		}
+		src := rand2D(c.nx, c.ny, int64(c.nx*7+c.ny))
+		for _, inverse := range []bool{false, true} {
+			got := append([]complex128(nil), src...)
+			if inverse {
+				p.Inverse(got)
+			} else {
+				p.Forward(got)
+			}
+			if e := maxErr(got, naive2D(src, c.nx, c.ny, inverse)); e > 1e-9 {
+				t.Errorf("%dx%d inverse=%v: max err %g", c.nx, c.ny, inverse, e)
+			}
+		}
+	}
+}
+
 func TestPlan2DRoundTrip(t *testing.T) {
 	cases := []struct{ nx, ny int }{{8, 8}, {16, 8}, {9, 15}, {64, 64}, {128, 64}}
 	for _, c := range cases {

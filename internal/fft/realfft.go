@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"roughsurface/internal/par"
+	"roughsurface/internal/simd"
 )
 
 // Real-input fast path.
@@ -214,7 +215,7 @@ func (p *Plan2D) forwardRealRows(dst []complex128, src []float64, rows int) {
 	p.checkRows(rows)
 	workers := p.workerBound()
 	p.rowsForward(dst, src, rows, workers)
-	p.colPass(dst, hx, rows, p.ny, false, workers)
+	p.colPass(blockFFT, dst, hx, rows, p.ny, false, workers)
 }
 
 // InverseRealTo computes the real 2D inverse DFT (including the
@@ -243,7 +244,7 @@ func (p *Plan2D) inverseReal(dst []float64, src []complex128, scale float64, row
 	}
 	p.checkRows(rows)
 	workers := p.workerBound()
-	p.colPass(src, hx, p.ny, rows, true, workers)
+	p.colPass(blockFFT, src, hx, p.ny, rows, true, workers)
 	p.rowsInverse(dst, src, scale, rows, workers)
 }
 
@@ -253,16 +254,16 @@ func (p *Plan2D) inverseReal(dst []float64, src []complex128, scale float64, row
 //
 //	dst = IRFFT(RFFT(src)·conj(K)),   including the 1/(nx·ny) factor,
 //
-// kHat holds K column-major, the order the column pass reads it in: bin
-// (kx, ky) at kHat[kx*ny+ky] (ColumnMajor converts ForwardReal's
-// output).
 // reading only src rows [0, inRows) (the rest are taken as zero) and
-// writing only dst rows [0, outRows). The column pass is fused: each
-// column block is gathered once, runs the forward column transform, the
-// spectral multiply and the inverse column transform while it is
-// cache-resident, and scatters only the rows the final row pass reads.
-// The values equal the unfused sequence (forward, multiply every bin by
-// conj(K), inverse) value for value.
+// writing only dst rows [0, outRows). kHat holds K in the column-block
+// layout the column pass reads, as BlockInterleaved returns it.
+//
+// The column pass is fused: each column block is gathered once and
+// runs the forward column transforms, the spectral multiply and the
+// inverse column transforms while it is cache-resident, and only the
+// rows the final row pass reads are scattered back. The values equal
+// the unfused sequence (forward, multiply every bin by conj(K),
+// inverse) value for value.
 //
 // Buffers are row-bounded: src needs only its inRows rows of nx
 // samples, dst its outRows rows, and the scratch work max(inRows,
@@ -271,8 +272,14 @@ func (p *Plan2D) inverseReal(dst []float64, src []complex128, scale float64, row
 // nor written. dst may alias src, which is fully read before dst is
 // written.
 func (p *Plan2D) CorrelateRealRows(dst, src []float64, kHat, work []complex128, inRows, outRows int) {
+	p.correlateRealRows(blockFFT, dst, src, kHat, work, inRows, outRows)
+}
+
+// correlateRealRows is CorrelateRealRows with the column-block kernels
+// of k.
+func (p *Plan2D) correlateRealRows(k simd.BlockFFT, dst, src []float64, kHat, work []complex128, inRows, outRows int) {
 	hx := p.HalfNx()
-	if len(src) < inRows*p.nx || len(dst) < outRows*p.nx || len(kHat) != hx*p.ny || len(work) < hx*max(inRows, outRows) {
+	if len(src) < inRows*p.nx || len(dst) < outRows*p.nx || len(kHat) != p.blockSpecLen() || len(work) < hx*max(inRows, outRows) {
 		panic(fmt.Sprintf("fft: CorrelateRealRows buffers too short: plan %dx%d, rows %d→%d, dst %d, src %d, kHat %d, work %d",
 			p.nx, p.ny, inRows, outRows, len(dst), len(src), len(kHat), len(work)))
 	}
@@ -281,36 +288,79 @@ func (p *Plan2D) CorrelateRealRows(dst, src []float64, kHat, work []complex128, 
 	workers := p.workerBound()
 	p.rowsForward(work, src, inRows, workers)
 	p.colBlocks(work, hx, inRows, outRows, workers, func(buf []complex128, x0, bw int) {
-		for b := 0; b < bw; b++ {
-			col := buf[b*p.ny : (b+1)*p.ny]
-			p.py.transform(col, col, false)
-			mulConj(col, kHat[(x0+b)*p.ny:(x0+b+1)*p.ny])
-			p.py.transform(col, col, true)
+		kb := kHat[x0*p.ny : (x0+colBlock)*p.ny]
+		if p.py.blu != nil {
+			p.eachLane(buf, bw, func(col []complex128, b int) {
+				p.py.transform(col, col, false)
+				for iy := range col {
+					t := kb[iy*colBlock+b]
+					col[iy] *= complex(real(t), -imag(t))
+				}
+				p.py.transform(col, col, true)
+			})
+			return
 		}
+		k.Stages(buf, p.py.twiddle, false)
+		mulConjBitRev(buf, kb, p.py.rev)
+		k.Stages(buf, p.py.twidInv, true)
 	})
 	p.rowsInverse(dst, work, 1/float64(p.nx*p.ny), outRows, workers)
 }
 
-// mulConj multiplies x by the conjugate of k elementwise.
-func mulConj(x, k []complex128) {
-	k = k[:len(x)]
-	for i, t := range k {
-		x[i] *= complex(real(t), -imag(t))
+// mulConjBitRev multiplies every bin of the block a by the conjugate of
+// the matching bin of the kHat block k and stores it at the
+// bit-reversed row, a'[rev[r]] = a[r]·conj(k[r]) lane by lane: the
+// spectral multiply of a correlation fused with the permutation the
+// inverse stages start from. Rows are taken in pairs (r, rev[r]) so the
+// permutation runs in place. Each product is the scalar complex128
+// x·complex(kr, −ki).
+func mulConjBitRev(a, k []complex128, rev []int) {
+	row := func(s []complex128, r int) *[colBlock]complex128 {
+		return (*[colBlock]complex128)(s[r*colBlock:])
+	}
+	for r, j := range rev {
+		if j < r {
+			continue
+		}
+		x, kx := row(a, r), row(k, r)
+		if j == r {
+			for b, t := range kx {
+				x[b] *= complex(real(t), -imag(t))
+			}
+			continue
+		}
+		y, ky := row(a, j), row(k, j)
+		for b := range x {
+			xr, yr := x[b], y[b]
+			tx, ty := kx[b], ky[b]
+			y[b] = xr * complex(real(tx), -imag(tx))
+			x[b] = yr * complex(real(ty), -imag(ty))
+		}
 	}
 }
 
-// ColumnMajor returns the half-spectrum spec (HalfNx×ny, row-major, as
-// ForwardReal writes it) in column-major order, the kHat layout
-// CorrelateRealRows reads.
-func (p *Plan2D) ColumnMajor(spec []complex128) []complex128 {
+// blockSpecLen is the length of a half-spectrum in the column-block
+// layout: HalfNx columns rounded up to whole blocks, times ny rows.
+func (p *Plan2D) blockSpecLen() int {
+	return (p.HalfNx() + colBlock - 1) / colBlock * colBlock * p.ny
+}
+
+// BlockInterleaved returns the half-spectrum spec (HalfNx×ny, row-major,
+// as ForwardReal writes it) in the column-block layout CorrelateRealRows
+// reads: the columns in blocks of 16, each block row-interleaved like
+// the column pass's gather buffer, so bin (kx, ky) sits at
+// (kx−b)·ny + ky·16 + b with b = kx mod 16. The last block is padded
+// with zero columns to the full width.
+func (p *Plan2D) BlockInterleaved(spec []complex128) []complex128 {
 	hx := p.HalfNx()
 	if len(spec) != hx*p.ny {
-		panic(fmt.Sprintf("fft: ColumnMajor length mismatch: plan %dx%d, spec %d", p.nx, p.ny, len(spec)))
+		panic(fmt.Sprintf("fft: BlockInterleaved length mismatch: plan %dx%d, spec %d", p.nx, p.ny, len(spec)))
 	}
-	out := make([]complex128, len(spec))
+	out := make([]complex128, p.blockSpecLen())
 	for iy := 0; iy < p.ny; iy++ {
 		for kx, v := range spec[iy*hx : (iy+1)*hx] {
-			out[kx*p.ny+iy] = v
+			b := kx % colBlock
+			out[(kx-b)*p.ny+iy*colBlock+b] = v
 		}
 	}
 	return out

@@ -287,7 +287,7 @@ func TestCorrelateRealRowsMatchesUnfused(t *testing.T) {
 		hx := p.HalfNx()
 		kHat := make([]complex128, hx*c.ny)
 		p.ForwardReal(kHat, realSeq(c.nx*c.ny, uint64(c.nx*7+c.ny)))
-		kCols := p.ColumnMajor(kHat)
+		kCols := p.BlockInterleaved(kHat)
 		for _, rows := range [][2]int{{c.ny, c.ny}, {c.ny, 1}, {1, c.ny}, {(c.ny + 1) / 2, c.ny / 2}, {c.ny - 1, c.ny - 1}, {0, c.ny}, {c.ny, 0}} {
 			inRows, outRows := rows[0], rows[1]
 			if inRows < 0 || outRows < 0 {
@@ -339,28 +339,28 @@ func TestCorrelateRealRowsMatchesUnfused(t *testing.T) {
 
 func TestCorrelateRealRowsPanics(t *testing.T) {
 	p := MustPlan2D(8, 4)
-	n, h := 32, p.HalfNx()*4
+	n, h, kh := 32, p.HalfNx()*4, p.blockSpecLen()
 	for name, f := range map[string]func(){
 		"inRows -1": func() {
-			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, h), make([]complex128, h), -1, 4)
+			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, kh), make([]complex128, h), -1, 4)
 		},
 		"inRows 5": func() {
-			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, h), make([]complex128, h), 5, 4)
+			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, kh), make([]complex128, h), 5, 4)
 		},
 		"outRows -1": func() {
-			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, h), make([]complex128, h), 4, -1)
+			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, kh), make([]complex128, h), 4, -1)
 		},
 		"outRows 5": func() {
-			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, h), make([]complex128, h), 4, 5)
+			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, kh), make([]complex128, h), 4, 5)
 		},
 		"short kHat": func() {
-			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, h-1), make([]complex128, h), 4, 4)
+			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, kh-1), make([]complex128, h), 4, 4)
 		},
 		"short work": func() {
-			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, h), make([]complex128, h-1), 4, 4)
+			p.CorrelateRealRows(make([]float64, n), make([]float64, n), make([]complex128, kh), make([]complex128, h-1), 4, 4)
 		},
 		"short dst": func() {
-			p.CorrelateRealRows(make([]float64, n-1), make([]float64, n), make([]complex128, h), make([]complex128, h), 4, 4)
+			p.CorrelateRealRows(make([]float64, n-1), make([]float64, n), make([]complex128, kh), make([]complex128, h), 4, 4)
 		},
 	} {
 		func() {

@@ -22,6 +22,9 @@ func macRow64AVX(taps, noise, dst []float64)
 func macRow32AVX512(taps, noise, dst []float32)
 func macRow64AVX512(taps, noise, dst []float64)
 
+// FFT column-block stages (fftblock_amd64.s).
+func blockStagesAVX2(a, tw []complex128, inverse bool)
+
 func hasAVX2() bool {
 	const osxsave = 1 << 27
 	const avx = 1 << 28
@@ -55,16 +58,20 @@ func hasAVX512() bool {
 }
 
 // hostKernels lists the portable loops, then the AVX2 kernels and the
-// AVX-512 MAC rows where the CPU runs them. Axpy has no AVX-512 form:
-// it is memory-bound, and the AVX2 kernel is kept.
+// AVX-512 MAC rows where the CPU runs them. Axpy and the FFT block
+// stages have no AVX-512 form: Axpy is memory-bound, and ZMM block
+// stages ran only 5–10% faster than the YMM ones at the layer, under
+// 1% of a render, so the AVX2 kernels are kept.
 func hostKernels() []kernelSet {
 	ks := []kernelSet{goKernels}
 	if !hasAVX2() {
 		return ks
 	}
-	ks = append(ks, kernelSet{"avx2", axpy32AVX, axpy64AVX, macRow32AVX, macRow64AVX})
+	ks = append(ks, kernelSet{"avx2", axpy32AVX, axpy64AVX, macRow32AVX, macRow64AVX,
+		blockStagesAVX2})
 	if hasAVX512() {
-		ks = append(ks, kernelSet{"avx512", axpy32AVX, axpy64AVX, macRow32AVX512, macRow64AVX512})
+		ks = append(ks, kernelSet{"avx512", axpy32AVX, axpy64AVX, macRow32AVX512, macRow64AVX512,
+			blockStagesAVX2})
 	}
 	return ks
 }

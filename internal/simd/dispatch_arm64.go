@@ -14,5 +14,6 @@ func axpy64NEON(alpha float64, x, y []float64)
 // the NEON kernels' FMLA, so composing axpy and fusing the row agree
 // bit-for-bit on arm64 too.
 func hostKernels() []kernelSet {
-	return []kernelSet{goKernels, {"neon", axpy32NEON, axpy64NEON, macRowGeneric32, macRowGeneric64}}
+	return []kernelSet{goKernels, {"neon", axpy32NEON, axpy64NEON, macRowGeneric32, macRowGeneric64,
+		blockStagesGeneric}}
 }

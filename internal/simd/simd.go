@@ -1,6 +1,7 @@
 // Package simd supplies the precision-generic multiply-accumulate (MAC)
-// kernels behind the direct-convolution and weight-blend hot loops. The
-// contract is one primitive:
+// kernels behind the direct-convolution and weight-blend hot loops, and
+// the FFT column-block kernels behind the two-dimensional transforms
+// (BlockFFT, fftblock.go). The MAC contract is one primitive:
 //
 //	Axpy: y[i] += alpha·x[i]   (elementwise, no reduction)
 //
@@ -19,32 +20,36 @@
 //   - amd64 AVX-512: 16-lane (float32) / 8-lane (float64) ZMM MAC-row
 //     kernels with opmask tails, selected at init when CPUID reports
 //     AVX512F and XCR0 shows the OS saving opmask and ZMM state. Axpy
-//     keeps the AVX2 kernel.
+//     and the FFT block stages keep the AVX2 kernels.
 //   - amd64 AVX2: VEX-encoded 8-lane (float32) / 4-lane (float64)
-//     kernels, selected when CPUID reports AVX2 + OS YMM-state support.
-//     Both amd64 sets use separate multiply and add (no FMA), so their
-//     results are bit-identical to the pure-Go fallback — the float64
-//     reference engine produces the same bytes with and without
-//     assembly, on any amd64 CPU.
+//     kernels and a YMM FFT block-stage kernel, selected when CPUID
+//     reports AVX2 + OS YMM-state support. Both amd64 sets use separate
+//     multiply and add (no FMA), so their results are bit-identical to
+//     the pure-Go fallback — the float64 reference engine produces the
+//     same bytes with and without assembly, on any amd64 CPU.
 //   - arm64: NEON kernels using FMLA. arm64 is allowed to fuse — the Go
 //     compiler already emits FMADD for the fallback's a*x + y pattern —
 //     so on arm64 both paths fuse and agreement with amd64 is only
 //     within the documented f32/f64 tolerance, as it always has been.
+//     The FFT block stages are the pure-Go ones.
 //   - pure Go: an 8-lane manually unrolled loop, the portable
 //     reference. Build with -tags noasm to force it everywhere.
 package simd
 
-// kernelSet is one implementation of the MAC primitives.
+// kernelSet is one implementation of the MAC primitives and of the FFT
+// column-block kernels (fftblock.go).
 type kernelSet struct {
-	name     string
-	axpy32   func(alpha float32, x, y []float32)
-	axpy64   func(alpha float64, x, y []float64)
-	macRow32 func(taps, noise, dst []float32)
-	macRow64 func(taps, noise, dst []float64)
+	name        string
+	axpy32      func(alpha float32, x, y []float32)
+	axpy64      func(alpha float64, x, y []float64)
+	macRow32    func(taps, noise, dst []float32)
+	macRow64    func(taps, noise, dst []float64)
+	blockStages func(a, tw []complex128, inverse bool)
 }
 
 // goKernels is the portable set every build can run.
-var goKernels = kernelSet{"go", axpyGeneric32, axpyGeneric64, macRowGeneric32, macRowGeneric64}
+var goKernels = kernelSet{"go", axpyGeneric32, axpyGeneric64, macRowGeneric32, macRowGeneric64,
+	blockStagesGeneric}
 
 // kernels is every set this build runs on this CPU, portable first and
 // most capable last; the exported kernels dispatch to chosen, the last.

@@ -18,7 +18,9 @@
 #                            findings lands; CI uploads it to code scanning.
 #
 # The bench smoke (-benchtime=1x) only proves every benchmark still
-# compiles and runs; scripts/bench.sh does the real measurement.
+# compiles and runs, including the per-kernel-set benchmarks of
+# internal/fft and internal/simd; perfbench/run.sh is the repository
+# benchmark that does the real measurement.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,10 +77,12 @@ step_begin "go vet"
 go vet ./...
 step_end
 
-# The precision-generic render pipeline ships hand-written MAC kernels
-# for amd64 and arm64 plus a pure-Go fallback behind -tags noasm; all
+# The simd package ships hand-written MAC kernels for amd64 and arm64
+# and FFT column-block stages for amd64, plus a pure-Go fallback
+# behind -tags noasm; all
 # three must keep compiling, and the fallback must keep passing the
-# convolution agreement tests, no matter which architecture CI runs on.
+# convolution agreement and FFT bit-exactness tests, no matter which
+# architecture CI runs on.
 step_begin "cross-compile (arm64) + noasm fallback tests"
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/simd ./internal/rng ./internal/fft ./internal/convgen ./internal/inhomo
@@ -272,7 +276,7 @@ rm -rf "$CL_DIR"
 step_end
 
 step_begin "bench smoke (compile + one iteration per benchmark)"
-go test -run='^$' -bench=. -benchtime=1x . > /dev/null
+go test -run='^$' -bench=. -benchtime=1x . ./internal/fft ./internal/simd > /dev/null
 step_end
 
 if [[ "$FUZZTIME" != "0" ]]; then
