@@ -17,7 +17,8 @@
 // -format=json, whose object carries the findings (sorted by file,
 // line, column, check) plus a per-check timing breakdown; -format=sarif
 // emits SARIF 2.1.0 for code-scanning upload. Exit status: 0 clean,
-// 1 findings, 2 usage or load error.
+// 1 findings, 2 usage or load error; a pattern that matches no package
+// is a load error.
 package main
 
 import (

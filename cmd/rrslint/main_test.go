@@ -354,6 +354,29 @@ func TestChecksExcludeFlag(t *testing.T) {
 	}
 }
 
+// TestUnmatchedPatternExitsError pins that a pattern selecting no
+// package is a load error (exit 2, naming the pattern) in both forms,
+// so a mistyped directory in a CI script cannot lint nothing and pass.
+func TestUnmatchedPatternExitsError(t *testing.T) {
+	chdir(t, writeModule(t, map[string]string{"leaky.go": leakySrc}))
+	for _, args := range [][]string{
+		{"./nosuchdir"},
+		{"-json", "./nosuch/..."},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2\nstdout: %s\nstderr: %s", args, code, out.String(), errb.String())
+		}
+		pat := strings.TrimPrefix(args[len(args)-1], "./")
+		if !strings.Contains(errb.String(), pat) {
+			t.Errorf("%v: stderr %q does not name %q", args, errb.String(), pat)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: stdout not empty: %s", args, out.String())
+		}
+	}
+}
+
 func TestResolvePatterns(t *testing.T) {
 	root := filepath.FromSlash("/mod")
 	cwd := filepath.FromSlash("/mod/internal")

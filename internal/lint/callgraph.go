@@ -6,9 +6,10 @@ package lint
 // functions and methods; edges are call sites resolved through
 // go/types (Info.Uses) to functions declared in the same unit. Calls
 // that leave the unit — stdlib, sibling module packages — are not
-// edges; their effects are approximated by the name/receiver heuristic
+// edges; their effects are approximated by the package/receiver effect
 // table in summary.go, mirroring how summary-based analyzers (Infer,
-// RacerX) treat library frontiers.
+// RacerX) treat library frontiers. Neither is a call go/types left
+// unresolved (an ill-typed unit's partial Info): unknown adds no edge.
 //
 // Two call relations are kept per node, because two different
 // questions are asked of the graph:
@@ -38,7 +39,6 @@ import (
 // funcNode is one declared function or method of the unit.
 type funcNode struct {
 	decl *ast.FuncDecl
-	obj  *types.Func // nil when type info is unavailable (fuzzing)
 
 	sync  []*callEdge // same-frame calls, in source order
 	reach []*callEdge // sync plus calls inside function literals
@@ -67,24 +67,16 @@ type callGraph struct {
 	byObj  map[*types.Func]*funcNode
 	byDecl map[*ast.FuncDecl]*funcNode
 	sccs   [][]*funcNode // bottom-up: callees before callers
-
-	// Name indices for heuristic resolution when type information is
-	// unavailable: package-level functions and methods separately, since
-	// an Ident call can only mean the former and a selector call the
-	// latter. Ambiguous method names resolve to nothing.
-	funcsByName   map[string][]*funcNode
-	methodsByName map[string][]*funcNode
 }
 
 // buildCallGraph constructs the unit's call graph. It tolerates
-// missing type information (every lookup degrades to "unresolved"),
-// so the summary fuzzer can drive it with parse-only input.
+// partial type information (an ill-typed unit's missing Defs and Uses
+// entries resolve to "no edge"), so the summary fuzzer can drive it
+// with arbitrary parseable input.
 func buildCallGraph(unit *Unit) *callGraph {
 	g := &callGraph{
-		byObj:         map[*types.Func]*funcNode{},
-		byDecl:        map[*ast.FuncDecl]*funcNode{},
-		funcsByName:   map[string][]*funcNode{},
-		methodsByName: map[string][]*funcNode{},
+		byObj:  map[*types.Func]*funcNode{},
+		byDecl: map[*ast.FuncDecl]*funcNode{},
 	}
 	for _, f := range unit.Files {
 		for _, d := range f.Decls {
@@ -93,19 +85,11 @@ func buildCallGraph(unit *Unit) *callGraph {
 				continue
 			}
 			n := &funcNode{decl: fd}
-			if unit.Info != nil {
-				if obj, ok := unit.Info.Defs[fd.Name].(*types.Func); ok {
-					n.obj = obj
-					g.byObj[obj] = n
-				}
+			if obj, ok := unit.Info.Defs[fd.Name].(*types.Func); ok {
+				g.byObj[obj] = n
 			}
 			g.byDecl[fd] = n
 			g.nodes = append(g.nodes, n)
-			if fd.Recv != nil {
-				g.methodsByName[fd.Name.Name] = append(g.methodsByName[fd.Name.Name], n)
-			} else {
-				g.funcsByName[fd.Name.Name] = append(g.funcsByName[fd.Name.Name], n)
-			}
 		}
 	}
 	for _, n := range g.nodes {
@@ -162,36 +146,33 @@ func (g *callGraph) resolveCalls(unit *Unit, n *funcNode) {
 
 // calleeOf resolves a call expression to a function declared in the
 // unit, or nil for everything else (externals, function values,
-// builtins, method values through interfaces). With type information
-// it resolves through Info.Uses; without it, by name — an Ident call
-// to the package-level function of that name, a selector call to the
-// unit's method of that name when exactly one type declares it
-// (shadowing and ambiguity degrade to "unresolved", never to a wrong
-// edge being trusted over a right one).
+// builtins, method values through interfaces, and calls go/types did
+// not resolve).
 func (g *callGraph) calleeOf(unit *Unit, call *ast.CallExpr) *funcNode {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if unit.Info != nil {
-			if fn, ok := unit.Info.Uses[fun].(*types.Func); ok {
-				return g.byObj[fn]
-			}
-			return nil
-		}
-		if cands := g.funcsByName[fun.Name]; len(cands) == 1 {
-			return cands[0]
-		}
-	case *ast.SelectorExpr:
-		if unit.Info != nil {
-			if fn, ok := unit.Info.Uses[fun.Sel].(*types.Func); ok {
-				return g.byObj[fn]
-			}
-			return nil
-		}
-		if cands := g.methodsByName[fun.Sel.Name]; len(cands) == 1 {
-			return cands[0]
-		}
+	return g.funcOf(unit, call.Fun)
+}
+
+// funcOf resolves a function-valued expression — a call's Fun, or the
+// f of go f / par.Dynamic(n, w, f) — to a same-unit declaration, nil
+// otherwise.
+func (g *callGraph) funcOf(unit *Unit, e ast.Expr) *funcNode {
+	if fn := usedFunc(unit, e); fn != nil {
+		return g.byObj[fn]
 	}
 	return nil
+}
+
+// usedFunc resolves a plain or qualified function name (f, pkg.F,
+// x.M) through Info.Uses, nil for anything else.
+func usedFunc(unit *Unit, e ast.Expr) *types.Func {
+	var fn *types.Func
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		fn, _ = unit.Info.Uses[x].(*types.Func)
+	case *ast.SelectorExpr:
+		fn, _ = unit.Info.Uses[x.Sel].(*types.Func)
+	}
+	return fn
 }
 
 // condense runs Tarjan's SCC algorithm over the sync edges and stores

@@ -43,10 +43,9 @@ func runFloatreduce(p *pass) {
 			}
 			// A named function launched as a task: its package-level
 			// accumulation now runs concurrently with its siblings'.
-			if callee := s.funcValueNode(site.arg); callee != nil {
+			if callee := s.graph.funcOf(p.unit, site.arg); callee != nil {
 				if cs := s.by[callee]; cs != nil {
-					for key, pos := range cs.accumGlobal {
-						_ = pos
+					for key := range cs.accumGlobal {
 						p.reportf(site.pos, "floatreduce",
 							"%s launches %s, which accumulates into package-level %s; summation order depends on scheduling — accumulate per task and merge deterministically",
 							site.via, callee.name(), key)
@@ -119,41 +118,11 @@ func (s *summaries) checkTaskLit(p *pass, site taskSite) {
 	})
 }
 
-// funcValueNode resolves a func-valued expression (par.Dynamic(n, w,
-// f)'s f, or go f's f) to a same-unit declaration.
-func (s *summaries) funcValueNode(e ast.Expr) *funcNode {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if s.p.unit.Info != nil {
-			if fn, ok := s.p.unit.Info.Uses[x].(*types.Func); ok {
-				return s.graph.byObj[fn]
-			}
-			return nil
-		}
-		if cands := s.graph.funcsByName[x.Name]; len(cands) == 1 {
-			return cands[0]
-		}
-	case *ast.SelectorExpr:
-		if s.p.unit.Info != nil {
-			if fn, ok := s.p.unit.Info.Uses[x.Sel].(*types.Func); ok {
-				return s.graph.byObj[fn]
-			}
-			return nil
-		}
-		if cands := s.graph.methodsByName[x.Sel.Name]; len(cands) == 1 {
-			return cands[0]
-		}
-	}
-	return nil
-}
-
 // --- accumulation shapes (shared with summary seeding) -------------------
 
 // floatAccumTarget reports whether the assignment is a floating-point
 // reduction step — x += e, x -= e, x *= e, or x = x ± e — returning
-// the accumulation target. In typed units the target must have float
-// or complex type; heuristic mode accepts any candidate shape (the
-// fuzzer only needs crash-safety, and fixtures are typed).
+// the accumulation target, which must have float or complex type.
 func floatAccumTarget(p *pass, a *ast.AssignStmt) (ast.Expr, bool) {
 	if len(a.Lhs) != 1 || len(a.Rhs) != 1 {
 		return nil, false
@@ -187,11 +156,8 @@ func floatAccumTarget(p *pass, a *ast.AssignStmt) (ast.Expr, bool) {
 }
 
 // isFloatExpr reports whether e has floating-point or complex type;
-// without type information every expression qualifies.
+// an expression go/types recorded no type for does not qualify.
 func isFloatExpr(p *pass, e ast.Expr) bool {
-	if p.unit.Info == nil {
-		return true
-	}
 	tv, ok := p.unit.Info.Types[e]
 	if !ok || tv.Type == nil {
 		return false
@@ -234,19 +200,12 @@ func (s *summaries) seedAccum(n *funcNode, sum *funcSummary, a *ast.AssignStmt) 
 }
 
 // paramIndexOf resolves an identifier to its flattened parameter
-// position in the declaration, by object when typed and name
-// otherwise.
+// position in the declaration, by object.
 func paramIndexOf(p *pass, fd *ast.FuncDecl, id *ast.Ident) (int, bool) {
 	params := fd.Type.Params
-	if params == nil {
+	want := p.unit.Info.Uses[id]
+	if params == nil || want == nil {
 		return 0, false
-	}
-	var want types.Object
-	if p.unit.Info != nil {
-		want = p.unit.Info.Uses[id]
-		if want == nil {
-			return 0, false
-		}
 	}
 	idx := 0
 	for _, field := range params.List {
@@ -255,11 +214,7 @@ func paramIndexOf(p *pass, fd *ast.FuncDecl, id *ast.Ident) (int, bool) {
 			continue
 		}
 		for _, name := range field.Names {
-			if want != nil {
-				if p.unit.Info.Defs[name] == want {
-					return idx, true
-				}
-			} else if name.Name == id.Name {
+			if p.unit.Info.Defs[name] == want {
 				return idx, true
 			}
 			idx++
@@ -268,34 +223,9 @@ func paramIndexOf(p *pass, fd *ast.FuncDecl, id *ast.Ident) (int, bool) {
 	return 0, false
 }
 
-// isPkgLevelVar reports whether the identifier names a package-level
-// variable (heuristically: any identifier the unit's declarations
-// define at file scope, when untyped).
+// isPkgLevelVar reports whether the identifier resolves to a
+// package-level variable of the unit.
 func isPkgLevelVar(p *pass, id *ast.Ident) bool {
-	if p.unit.Info != nil {
-		obj := p.unit.Info.Uses[id]
-		if obj == nil {
-			return false
-		}
-		_, isVar := obj.(*types.Var)
-		return isVar && p.unit.Pkg != nil && obj.Parent() == p.unit.Pkg.Scope()
-	}
-	for _, f := range p.unit.Files {
-		for _, d := range f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, name := range vs.Names {
-						if name.Name == id.Name {
-							return true
-						}
-					}
-				}
-			}
-		}
-	}
-	return false
+	obj, isVar := p.unit.Info.Uses[id].(*types.Var)
+	return isVar && obj.Parent() == p.unit.Pkg.Scope()
 }

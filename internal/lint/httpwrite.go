@@ -22,10 +22,7 @@ package lint
 // callee) are skipped, not guessed at — the middleware-wrapper pattern
 // in internal/service does exactly that on purpose.
 
-import (
-	"go/token"
-	"go/types"
-)
+import "go/token"
 
 func runHttpwrite(p *pass) {
 	s := p.summaries()
@@ -78,7 +75,7 @@ func (s *summaries) isHandlerDecl(n *funcNode) bool {
 }
 
 // eachRWParam invokes fn with a fresh analysis for every named,
-// non-blank http.ResponseWriter parameter of n.
+// non-blank http.ResponseWriter parameter of n that go/types defined.
 func (s *summaries) eachRWParam(n *funcNode, fn func(a *rwAnalysis)) {
 	params := n.decl.Type.Params
 	if params == nil {
@@ -92,11 +89,9 @@ func (s *summaries) eachRWParam(n *funcNode, fn func(a *rwAnalysis)) {
 			if id.Name == "_" {
 				continue
 			}
-			var obj types.Object
-			if s.p.unit.Info != nil {
-				obj = s.p.unit.Info.Defs[id]
+			if obj := s.p.unit.Info.Defs[id]; obj != nil {
+				fn(&rwAnalysis{s: s, body: n.decl.Body, obj: obj})
 			}
-			fn(&rwAnalysis{s: s, body: n.decl.Body, obj: obj, name: id.Name})
 		}
 	}
 }

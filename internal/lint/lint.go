@@ -75,7 +75,7 @@ func (d Diagnostic) String() string {
 type Config struct {
 	Root    string   // module root directory
 	ModPath string   // module path; read from Root/go.mod when empty
-	Dirs    []string // module-relative dirs ("x", "x/..."); nil = all
+	Dirs    []string // module-relative dirs ("x", "x/..."), each must match a unit; nil = all
 	Checks  []string // check names to run; nil = all
 }
 

@@ -3,27 +3,35 @@ package lint_test
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"roughsurface/internal/lint"
 )
 
-// fixtureRun lints one fixture directory with one check enabled and
-// returns findings as "file:line check" strings.
+// fixtureTree is one lint.Run of every check over the whole fixture
+// module, computed once per test binary. A unit's findings depend only
+// on that unit, so each (dir, check) row reads its slice of this run
+// instead of loading and type-checking the tree again.
+var fixtureTree = sync.OnceValues(func() ([]lint.Diagnostic, error) {
+	return lint.Run(lint.Config{Root: "testdata/src/fixture", ModPath: "fixture"})
+})
+
+// fixtureRun returns the findings of one check under one fixture
+// directory as "file:line check" strings, plus the malformed-directive
+// findings there, which a run of any check reports.
 func fixtureRun(t *testing.T, dir, check string) []string {
 	t.Helper()
-	diags, err := lint.Run(lint.Config{
-		Root:    "testdata/src/fixture",
-		ModPath: "fixture",
-		Dirs:    []string{dir + "/..."},
-		Checks:  []string{check},
-	})
+	diags, err := fixtureTree()
 	if err != nil {
-		t.Fatalf("lint.Run(%s): %v", dir, err)
+		t.Fatalf("lint.Run: %v", err)
 	}
-	got := make([]string, len(diags))
-	for i, d := range diags {
-		got[i] = fmt.Sprintf("%s:%d %s", d.File, d.Line, d.Check)
+	var got []string
+	for _, d := range diags {
+		if strings.HasPrefix(d.File, dir+"/") && (d.Check == check || d.Check == "directive") {
+			got = append(got, fmt.Sprintf("%s:%d %s", d.File, d.Line, d.Check))
+		}
 	}
 	return got
 }
@@ -177,14 +185,11 @@ func TestChecks(t *testing.T) {
 	}
 }
 
-// TestAllChecksOnFixtureTree runs the full suite over the whole
-// fixture module at once: cross-check that selection by Dirs and
-// Checks was not hiding interference between checks.
+// TestAllChecksOnFixtureTree pins the per-check and total counts of
+// the full-suite run TestChecks reads its rows from, findings in
+// fixture directories no row covers included.
 func TestAllChecksOnFixtureTree(t *testing.T) {
-	diags, err := lint.Run(lint.Config{
-		Root:    "testdata/src/fixture",
-		ModPath: "fixture",
-	})
+	diags, err := fixtureTree()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +243,27 @@ func TestUnknownCheckRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("unknown check name accepted")
+	}
+}
+
+// TestUnmatchedDirsRejected: every Dirs pattern that selects no lint
+// unit is named in the error; a pattern that does select one is not.
+func TestUnmatchedDirsRejected(t *testing.T) {
+	_, err := lint.Run(lint.Config{
+		Root:    "testdata/src/fixture",
+		ModPath: "fixture",
+		Dirs:    []string{"nosuchdir", "clean", "nosuch/..."},
+	})
+	if err == nil {
+		t.Fatal("patterns matching nothing accepted")
+	}
+	for _, want := range []string{`"nosuchdir"`, `"nosuch/..."`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), `"clean"`) {
+		t.Errorf("error %q names a matching pattern", err)
 	}
 }
 

@@ -359,95 +359,117 @@ func (l *loader) discoverDirs() ([]string, error) {
 	return dirs, nil
 }
 
-// dirSelected reports whether rel is included by the patterns: exact
-// module-relative directories, or subtree patterns ending in "/...".
-// An empty pattern list selects everything.
-func dirSelected(rel string, patterns []string) bool {
-	if len(patterns) == 0 {
-		return true
+// patternSelects reports whether rel is included by one pattern: an
+// exact module-relative directory, or a subtree pattern ending in
+// "/...".
+func patternSelects(rel, p string) bool {
+	if sub, ok := strings.CutSuffix(p, "..."); ok {
+		sub = strings.TrimSuffix(sub, "/")
+		return sub == "" || rel == sub || strings.HasPrefix(rel, sub+"/")
 	}
-	for _, p := range patterns {
-		if sub, ok := strings.CutSuffix(p, "..."); ok {
-			sub = strings.TrimSuffix(sub, "/")
-			if sub == "" || rel == sub || strings.HasPrefix(rel, sub+"/") {
-				return true
-			}
-			continue
-		}
-		if rel == p {
-			return true
-		}
-	}
-	return false
+	return rel == p
 }
 
-// units loads and type-checks every lint unit selected by patterns.
+// units loads and type-checks every lint unit selected by patterns (an
+// empty list selects everything). A pattern that selects no unit is an
+// error, so a mistyped directory fails instead of linting nothing.
 func (l *loader) units(patterns []string) ([]*Unit, error) {
 	dirs, err := l.discoverDirs()
 	if err != nil {
 		return nil, err
 	}
 	var units []*Unit
+	matched := make([]bool, len(patterns))
 	for _, rel := range dirs {
-		if !dirSelected(rel, patterns) {
+		var sel []int
+		for i, p := range patterns {
+			if patternSelects(rel, p) {
+				sel = append(sel, i)
+			}
+		}
+		if len(patterns) > 0 && len(sel) == 0 {
 			continue
 		}
-		files, err := l.parseDir(rel)
+		dirUnits, err := l.dirUnits(rel)
 		if err != nil {
 			return nil, err
 		}
-		groups := map[string][]srcFile{}
-		var names []string
-		for _, sf := range files {
-			if _, ok := groups[sf.pkg]; !ok {
-				names = append(names, sf.pkg)
-			}
-			groups[sf.pkg] = append(groups[sf.pkg], sf)
+		for _, i := range sel {
+			matched[i] = matched[i] || len(dirUnits) > 0
 		}
-		sort.Strings(names)
-		var primary, ext string
-		for _, name := range names {
-			if strings.HasSuffix(name, "_test") {
-				if ext != "" {
-					return nil, fmt.Errorf("lint: %s: multiple external test packages (%s, %s)", rel, ext, name)
-				}
-				ext = name
-				continue
-			}
-			if primary != "" {
-				return nil, fmt.Errorf("lint: %s: multiple packages (%s, %s)", rel, primary, name)
-			}
-			primary = name
+		units = append(units, dirUnits...)
+	}
+	var unmatched []string
+	for i, p := range patterns {
+		if !matched[i] {
+			unmatched = append(unmatched, strconv.Quote(p))
 		}
-		path := l.importPath(rel)
-		var primaryUnit *Unit
+	}
+	if len(unmatched) > 0 {
+		return nil, fmt.Errorf("lint: no lint unit matches %s", strings.Join(unmatched, ", "))
+	}
+	return units, nil
+}
+
+// dirUnits loads and type-checks the lint units of one directory: the
+// primary unit and the external-test unit, each when present.
+func (l *loader) dirUnits(rel string) ([]*Unit, error) {
+	var units []*Unit
+	files, err := l.parseDir(rel)
+	if err != nil {
+		return nil, err
+	}
+	groups := map[string][]srcFile{}
+	var names []string
+	for _, sf := range files {
+		if _, ok := groups[sf.pkg]; !ok {
+			names = append(names, sf.pkg)
+		}
+		groups[sf.pkg] = append(groups[sf.pkg], sf)
+	}
+	sort.Strings(names)
+	var primary, ext string
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test") {
+			if ext != "" {
+				return nil, fmt.Errorf("lint: %s: multiple external test packages (%s, %s)", rel, ext, name)
+			}
+			ext = name
+			continue
+		}
 		if primary != "" {
-			var asts []*ast.File
-			for _, sf := range groups[primary] {
-				asts = append(asts, sf.file)
-			}
-			pkg, info, err := l.typeCheck(path, asts, l, true)
-			if err != nil {
-				return nil, err
-			}
-			primaryUnit = &Unit{Dir: rel, Name: primary, Files: asts, Info: info, Pkg: pkg}
-			units = append(units, primaryUnit)
+			return nil, fmt.Errorf("lint: %s: multiple packages (%s, %s)", rel, primary, name)
 		}
-		if ext != "" {
-			var asts []*ast.File
-			for _, sf := range groups[ext] {
-				asts = append(asts, sf.file)
-			}
-			var imp types.ImporterFrom = l
-			if primaryUnit != nil {
-				imp = override{l: l, path: path, pkg: primaryUnit.Pkg, memo: map[string]*types.Package{}}
-			}
-			pkg, info, err := l.typeCheck(path+"_test", asts, imp, true)
-			if err != nil {
-				return nil, err
-			}
-			units = append(units, &Unit{Dir: rel, Name: ext, Files: asts, Info: info, Pkg: pkg})
+		primary = name
+	}
+	path := l.importPath(rel)
+	var primaryUnit *Unit
+	if primary != "" {
+		var asts []*ast.File
+		for _, sf := range groups[primary] {
+			asts = append(asts, sf.file)
 		}
+		pkg, info, err := l.typeCheck(path, asts, l, true)
+		if err != nil {
+			return nil, err
+		}
+		primaryUnit = &Unit{Dir: rel, Name: primary, Files: asts, Info: info, Pkg: pkg}
+		units = append(units, primaryUnit)
+	}
+	if ext != "" {
+		var asts []*ast.File
+		for _, sf := range groups[ext] {
+			asts = append(asts, sf.file)
+		}
+		var imp types.ImporterFrom = l
+		if primaryUnit != nil {
+			imp = override{l: l, path: path, pkg: primaryUnit.Pkg, memo: map[string]*types.Package{}}
+		}
+		pkg, info, err := l.typeCheck(path+"_test", asts, imp, true)
+		if err != nil {
+			return nil, err
+		}
+		units = append(units, &Unit{Dir: rel, Name: ext, Files: asts, Info: info, Pkg: pkg})
 	}
 	return units, nil
 }

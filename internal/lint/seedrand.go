@@ -56,20 +56,8 @@ func isRandSeedCall(p *pass, call *ast.CallExpr) bool {
 	if _, ok := pkgCallName(p, call, "math/rand", "NewSource", "New", "Seed"); ok {
 		return true
 	}
-	if _, ok := pkgCallName(p, call, "math/rand/v2", "New", "NewPCG", "NewChaCha8"); ok {
-		return true
-	}
-	if p.unit.Info == nil {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == "rand" {
-				switch sel.Sel.Name {
-				case "NewSource", "New", "Seed", "NewPCG", "NewChaCha8":
-					return true
-				}
-			}
-		}
-	}
-	return false
+	_, ok := pkgCallName(p, call, "math/rand/v2", "New", "NewPCG", "NewChaCha8")
+	return ok
 }
 
 // hasTimeDerivedArg reports whether any argument's subtree reaches

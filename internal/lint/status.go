@@ -71,8 +71,7 @@ type rwReporter struct {
 type rwAnalysis struct {
 	s       *summaries
 	body    *ast.BlockStmt
-	obj     types.Object // nil in heuristic mode
-	name    string
+	obj     types.Object // the writer parameter
 	escaped bool
 }
 
@@ -96,13 +95,10 @@ func (s *summaries) statusSummaries(n *funcNode) []rwSummary {
 			continue
 		}
 		for _, id := range names {
-			if isRW && id.Name != "_" {
-				var obj types.Object
-				if s.p.unit.Info != nil {
-					obj = s.p.unit.Info.Defs[id]
-				}
-				rw := rwSummary{obj: obj, index: idx}
-				a := &rwAnalysis{s: s, body: n.decl.Body, obj: obj, name: id.Name}
+			obj := s.p.unit.Info.Defs[id]
+			if isRW && id.Name != "_" && obj != nil {
+				rw := rwSummary{index: idx}
+				a := &rwAnalysis{s: s, body: n.decl.Body, obj: obj}
 				a.scanEscapes()
 				if a.escaped {
 					rw.unknown = true
@@ -124,53 +120,26 @@ func (s *summaries) statusSummaries(n *funcNode) []rwSummary {
 	return out
 }
 
-// isResponseWriterType matches http.ResponseWriter, typed or textual.
+// isResponseWriterType matches http.ResponseWriter.
 func (s *summaries) isResponseWriterType(t ast.Expr) bool {
-	if s.p.unit.Info != nil {
-		if tv, ok := s.p.unit.Info.Types[t]; ok && tv.Type != nil {
-			return isNamedType(tv.Type, "net/http", "ResponseWriter")
-		}
-	}
-	sel, ok := ast.Unparen(t).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "ResponseWriter" {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == "http"
+	tv, ok := s.p.unit.Info.Types[t]
+	return ok && tv.Type != nil && isNamedType(tv.Type, "net/http", "ResponseWriter")
 }
 
-// isRequestPtrType matches *http.Request, typed or textual.
+// isRequestPtrType matches *http.Request.
 func (s *summaries) isRequestPtrType(t ast.Expr) bool {
-	if s.p.unit.Info != nil {
-		if tv, ok := s.p.unit.Info.Types[t]; ok && tv.Type != nil {
-			if ptr, ok := tv.Type.Underlying().(*types.Pointer); ok {
-				return isNamedType(ptr.Elem(), "net/http", "Request")
-			}
-			return false
-		}
-	}
-	star, ok := ast.Unparen(t).(*ast.StarExpr)
-	if !ok {
+	tv, ok := s.p.unit.Info.Types[t]
+	if !ok || tv.Type == nil {
 		return false
 	}
-	sel, ok := ast.Unparen(star.X).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Request" {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == "http"
+	ptr, ok := tv.Type.Underlying().(*types.Pointer)
+	return ok && isNamedType(ptr.Elem(), "net/http", "Request")
 }
 
 // isWriter reports whether the identifier denotes the analyzed writer.
 func (a *rwAnalysis) isWriter(e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if a.obj != nil {
-		return a.s.p.objOf(id) == a.obj
-	}
-	return id.Name == a.name
+	return ok && a.s.p.objOf(id) == a.obj
 }
 
 // scanEscapes walks the whole body once and marks the analysis escaped
@@ -322,11 +291,7 @@ func (a *rwAnalysis) classifyCall(call *ast.CallExpr) (*rwEvent, []*ast.Ident) {
 
 // constStatusIsError reports whether e is a constant int in [400, 599].
 func (a *rwAnalysis) constStatusIsError(e ast.Expr) bool {
-	info := a.s.p.unit.Info
-	if info == nil {
-		return false
-	}
-	tv, ok := info.Types[e]
+	tv, ok := a.s.p.unit.Info.Types[e]
 	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
 		return false
 	}
@@ -368,14 +333,10 @@ func (a *rwAnalysis) calleeParamIsPlainWriter(callee *funcNode, idx int) bool {
 	return false
 }
 
-// callArgIsPlainWriter inspects an unresolved call's signature (when
-// types are available) for the argument's declared parameter type.
+// callArgIsPlainWriter inspects an unresolved call's signature for the
+// argument's declared parameter type.
 func (a *rwAnalysis) callArgIsPlainWriter(call *ast.CallExpr, idx int) bool {
-	info := a.s.p.unit.Info
-	if info == nil {
-		return false
-	}
-	tv, ok := info.Types[call.Fun]
+	tv, ok := a.s.p.unit.Info.Types[call.Fun]
 	if !ok || tv.Type == nil {
 		return false
 	}
@@ -390,7 +351,7 @@ func (a *rwAnalysis) callArgIsPlainWriter(call *ast.CallExpr, idx int) bool {
 // package-level functions, via types.
 func pkgFuncName(p *pass, call *ast.CallExpr) (string, string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || p.unit.Info == nil {
+	if !ok {
 		return "", "", false
 	}
 	fn, ok := p.unit.Info.Uses[sel.Sel].(*types.Func)

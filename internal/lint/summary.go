@@ -21,10 +21,12 @@ package lint
 // Calls that resolve inside the unit use the callee's summary; calls
 // that leave it fall back to a small effect table keyed by package
 // path, receiver type, and name (the "library frontier" heuristic).
-// When type information is absent (the summary fuzzer feeds parse-only
-// sources) every lookup degrades to name/receiver heuristics and the
-// builder must still terminate without panicking — FuzzSummary pins
-// that.
+// Every lookup goes through go/types. In an ill-typed unit (the
+// summary fuzzer type-checks arbitrary parseable sources and keeps the
+// partial Info) a missing entry means "unknown": it adds no edge and
+// resolves to no package, so only the table's name-only rows (any
+// Wait, a Sleep with no package) can still apply. The builder must
+// terminate without panicking — FuzzSummary pins that.
 //
 // All summary domains are finite join-semilattices that only grow
 // (bools, saturating counters, key sets bounded by the keys printed in
@@ -54,10 +56,9 @@ type blockEvent struct {
 // rwSummary describes the status writes one function performs through
 // one http.ResponseWriter parameter.
 type rwSummary struct {
-	obj      types.Object // the parameter object (nil without type info)
-	index    int          // parameter position in the flattened list
-	min, max int          // status writes over non-panic paths, saturated at 2
-	unknown  bool         // the writer escaped analysis; range unusable
+	index    int  // parameter position in the flattened list
+	min, max int  // status writes over non-panic paths, saturated at 2
+	unknown  bool // the writer escaped analysis; range unusable
 }
 
 // funcSummary is the effect summary of one declared function.
@@ -420,9 +421,7 @@ func (s *summaries) seedCtx(n *funcNode, sum *funcSummary) {
 				sum.ctxPos = id.Pos()
 				if id.Name != "_" {
 					sum.ctxName = id.Name
-					if s.p.unit.Info != nil {
-						obj = s.p.unit.Info.Defs[id]
-					}
+					obj = s.p.unit.Info.Defs[id]
 				}
 			}
 			idx++
@@ -431,46 +430,27 @@ func (s *summaries) seedCtx(n *funcNode, sum *funcSummary) {
 	if sum.ctxName == "" {
 		return
 	}
+	if obj == nil {
+		sum.ctxUsed = true // unresolved parameter: unknown, not dropped
+		return
+	}
 	ast.Inspect(n.decl.Body, func(m ast.Node) bool {
-		if sum.ctxUsed {
-			return false
+		if id, ok := m.(*ast.Ident); ok && s.p.unit.Info.Uses[id] == obj {
+			sum.ctxUsed = true
 		}
-		id, ok := m.(*ast.Ident)
-		if !ok || id.Name != sum.ctxName {
-			return true
-		}
-		if obj != nil {
-			if s.p.unit.Info != nil && s.p.unit.Info.Uses[id] == obj {
-				sum.ctxUsed = true
-			}
-			return true
-		}
-		sum.ctxUsed = true // heuristic mode: same name counts
-		return true
+		return !sum.ctxUsed
 	})
 }
 
 // isContextType reports whether the type expression denotes
-// context.Context, through types when available, textually otherwise.
+// context.Context.
 func (s *summaries) isContextType(t ast.Expr) bool {
-	if s.p.unit.Info != nil {
-		if tv, ok := s.p.unit.Info.Types[t]; ok && tv.Type != nil {
-			return isNamedType(tv.Type, "context", "Context")
-		}
-	}
-	sel, ok := ast.Unparen(t).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Context" {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == "context"
+	tv, ok := s.p.unit.Info.Types[t]
+	return ok && tv.Type != nil && isNamedType(tv.Type, "context", "Context")
 }
 
-// isChanExpr reports whether e has channel type (false without info).
+// isChanExpr reports whether e has channel type.
 func (s *summaries) isChanExpr(e ast.Expr) bool {
-	if s.p.unit.Info == nil {
-		return false
-	}
 	tv, ok := s.p.unit.Info.Types[e]
 	if !ok || tv.Type == nil {
 		return false
@@ -487,8 +467,8 @@ var lockReleaseMethods = map[string]int{"Unlock": lockExcl, "RUnlock": lockShare
 
 // lockMethodKey resolves call as a sync.Mutex/sync.RWMutex method from
 // the given name set, returning the printed receiver expression that
-// keys Lock/Unlock matching. Without type information it falls back to
-// the method name alone (fuzzing, heuristic mode).
+// keys Lock/Unlock matching. An unresolved selector (embedded locker,
+// field of an error type) stays quiet rather than guess.
 func (p *pass) lockMethodKey(call *ast.CallExpr, methods map[string]int) (string, int, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -498,17 +478,13 @@ func (p *pass) lockMethodKey(call *ast.CallExpr, methods map[string]int) (string
 	if !ok {
 		return "", 0, false
 	}
-	if p.unit.Info != nil {
-		if fn, ok := p.unit.Info.Uses[sel.Sel].(*types.Func); ok {
-			sig, ok := fn.Type().(*types.Signature)
-			if !ok || sig.Recv() == nil ||
-				!(isSyncType(sig.Recv().Type(), "Mutex") || isSyncType(sig.Recv().Type(), "RWMutex")) {
-				return "", 0, false
-			}
-			return types.ExprString(sel.X), kind, true
-		}
-		// Typed unit but unresolved selector (embedded locker, field of
-		// an error type): stay quiet rather than guess.
+	fn, ok := p.unit.Info.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return "", 0, false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil ||
+		!(isSyncType(sig.Recv().Type(), "Mutex") || isSyncType(sig.Recv().Type(), "RWMutex")) {
 		return "", 0, false
 	}
 	return types.ExprString(sel.X), kind, true
@@ -534,9 +510,6 @@ func canonicalKey(p *pass, key, recv string) (string, bool) {
 			return "@recv", true
 		}
 		return "@recv." + rest, true
-	}
-	if p.unit.Info == nil {
-		return key, true // heuristic mode: keep everything
 	}
 	// Keep the key only when its base resolves to a package-level var.
 	obj := p.unit.Pkg.Scope().Lookup(base)
@@ -573,30 +546,28 @@ func (s *summaries) blockingExternal(call *ast.CallExpr) (string, bool) {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		name = fun.Name
-		if p.unit.Info != nil {
-			if fn, ok := p.unit.Info.Uses[fun].(*types.Func); ok && fn.Pkg() != nil {
-				pkgPath = fn.Pkg().Path()
-			}
+		if fn, ok := p.unit.Info.Uses[fun].(*types.Func); ok && fn.Pkg() != nil {
+			pkgPath = fn.Pkg().Path()
 		}
 	case *ast.SelectorExpr:
 		name = fun.Sel.Name
-		if p.unit.Info != nil {
-			if fn, ok := p.unit.Info.Uses[fun.Sel].(*types.Func); ok {
-				if fn.Pkg() != nil {
-					pkgPath = fn.Pkg().Path()
-				}
-				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-					recvType = typeBaseName(sig.Recv().Type())
-				}
-			} else if _, isPkg := p.unit.Info.Uses[fun.Sel].(*types.Builtin); isPkg {
-				return "", false
+		if fn, ok := p.unit.Info.Uses[fun.Sel].(*types.Func); ok {
+			if fn.Pkg() != nil {
+				pkgPath = fn.Pkg().Path()
 			}
+			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+				recvType = typeBaseName(sig.Recv().Type())
+			}
+		} else if _, isPkg := p.unit.Info.Uses[fun.Sel].(*types.Builtin); isPkg {
+			return "", false
 		}
 	default:
 		return "", false
 	}
 
-	untyped := p.unit.Info == nil || pkgPath == ""
+	// untyped: the callee has no package — a builtin, a function value,
+	// or a call go/types did not resolve.
+	untyped := pkgPath == ""
 	switch {
 	case name == "Wait":
 		// Any Wait method: sync.WaitGroup, sync.Cond, errgroup-style

@@ -1,35 +1,71 @@
 package lint
 
 // White-box tests for the interprocedural substrate: call-graph SCC
-// ordering, summary propagation, lock-key canonicalization — all in
-// heuristic (untyped) mode, which is the mode with no safety net — and
-// FuzzSummary, which asserts the builder's invariants on arbitrary
-// parseable input and that every interprocedural pass survives it.
+// ordering, summary propagation, lock-key canonicalization, the
+// behaviour on ill-typed units (every check must treat a missing Info
+// entry as "unknown"), and FuzzSummary, which asserts the builder's
+// invariants on arbitrary parseable input and that every
+// interprocedural pass survives it.
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"sync"
 	"testing"
 )
 
-// parsePass builds an untyped pass (Info == nil: heuristic mode) over
-// one source file.
+// One file set and one source importer serve every typed pass the
+// white-box tests and fuzz targets build, so a standard-library
+// package is type-checked from source once per test binary.
+var (
+	typedFset = token.NewFileSet()
+	typedImp  = importer.ForCompiler(typedFset, "source", nil)
+	typedMu   sync.Mutex // the source importer is not safe for concurrent use
+)
+
+// typedPass parses src as one file and type-checks it like the loader,
+// except that type errors are collected instead of fatal: go/types
+// still returns the package and the partial Info, which is what the
+// checks see for ill-typed input. err is the parse error, if any.
+func typedPass(src string) (p *pass, typeErrs []error, err error) {
+	f, err := parser.ParseFile(typedFset, "p.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, nil, err
+	}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	conf := types.Config{Importer: typedImp, Error: func(e error) { typeErrs = append(typeErrs, e) }}
+	typedMu.Lock()
+	pkg, _ := conf.Check("p", typedFset, []*ast.File{f}, info)
+	typedMu.Unlock()
+	var diags []Diagnostic
+	return &pass{
+		fset:    typedFset,
+		root:    ".",
+		modPath: "fixture",
+		unit:    &Unit{Dir: ".", Name: f.Name.Name, Files: []*ast.File{f}, Info: info, Pkg: pkg},
+		diags:   &diags,
+	}, typeErrs, nil
+}
+
+// parsePass builds a typed pass over one well-typed source file.
 func parsePass(tb testing.TB, src string) *pass {
 	tb.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "summary_test.go", src, parser.SkipObjectResolution)
+	p, typeErrs, err := typedPass(src)
 	if err != nil {
 		tb.Fatalf("parse: %v", err)
 	}
-	var diags []Diagnostic
-	return &pass{
-		fset:    fset,
-		root:    ".",
-		modPath: "fixture",
-		unit:    &Unit{Dir: ".", Name: "p", Files: []*ast.File{f}},
-		diags:   &diags,
+	if len(typeErrs) > 0 {
+		tb.Fatalf("type errors: %v", typeErrs)
 	}
+	return p
 }
 
 // declSummary finds a function's summary by name.
@@ -150,10 +186,10 @@ func park() { select { case <-ch: } }
 	}
 }
 
-// TestLockbalanceHeuristicBalanced pins the fuzz target's central
-// property deterministically: balanced synthetic bodies produce no
-// findings even without type information.
-func TestLockbalanceHeuristicBalanced(t *testing.T) {
+// TestLockbalanceBalancedBodies pins the fuzz target's central
+// property deterministically: balanced synthetic bodies, plain and
+// deferred, produce no findings.
+func TestLockbalanceBalancedBodies(t *testing.T) {
 	p := parsePass(t, `package p
 import "sync"
 var mu sync.Mutex
@@ -163,6 +199,76 @@ func deferred() { mu.Lock(); defer mu.Unlock(); _ = 1 }
 	runLockbalance(p)
 	if len(*p.diags) != 0 {
 		t.Errorf("balanced bodies produced findings: %v", *p.diags)
+	}
+}
+
+// illTypedSrc holds one of each type error the checks must read as
+// "unknown" rather than guess at: a par launch with no import, an
+// import path that does not resolve, a method call on an undefined
+// type, and a call to an undeclared function. Matched by spelling,
+// the first two would be a floatreduce and a seedrand finding and the
+// third a call edge to T.Method, which blocks.
+const illTypedSrc = `package p
+
+import (
+	"time"
+
+	"no/such/rand"
+)
+
+var total float64
+
+type T struct{}
+
+func (T) Method() { select {} }
+
+func bump(v float64) { total += v }
+
+func launch() { par.Dynamic(4, 2, bump) }
+
+func seed() { rand.Seed(time.Now().UnixNano()) }
+
+func onUndefined() {
+	var u Undefined
+	u.Method()
+}
+
+func undeclaredCall() { undeclared(1) }
+`
+
+// illTypedSeeds are the same shapes one per file, as fuzz seeds.
+var illTypedSeeds = []string{
+	"package p\nvar total float64\nfunc bump(v float64) { total += v }\nfunc launch() { par.Dynamic(4, 2, bump) }\n",
+	"package p\nimport (\n\t\"time\"\n\t\"no/such/rand\"\n)\nfunc seed() { rand.Seed(time.Now().UnixNano()) }\n",
+	"package p\ntype T struct{}\nfunc (T) Method() { select {} }\nfunc f() { var u Undefined; u.Method() }\n",
+	"package p\nfunc f() { undeclared(1) }\n",
+}
+
+// TestIllTypedUnitIsUnknown runs every registered check over a unit
+// with type errors: nothing may panic, and no unresolved callee may
+// produce a call edge, a blocking effect or a finding.
+func TestIllTypedUnitIsUnknown(t *testing.T) {
+	p, typeErrs, err := typedPass(illTypedSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(typeErrs) < 4 {
+		t.Fatalf("got %d type errors, want at least 4: %v", len(typeErrs), typeErrs)
+	}
+	for _, c := range allChecks {
+		c.run(p)
+	}
+	if len(*p.diags) != 0 {
+		t.Errorf("findings from unresolved callees: %v", *p.diags)
+	}
+	s := p.summaries()
+	for _, n := range s.graph.nodes {
+		for _, e := range n.reach {
+			t.Errorf("call edge %s -> %s from an unresolved callee", n.name(), e.callee.name())
+		}
+	}
+	if sum := declSummary(t, s, "onUndefined"); sum.blocks {
+		t.Errorf("onUndefined blocks (%s) through an unresolved method call", sum.blockWhy)
 	}
 }
 
@@ -215,22 +321,14 @@ func FuzzSummary(f *testing.F) {
 		"package p\nimport \"sync\"\ntype S struct{ mu sync.RWMutex }\nfunc (s *S) r() { s.mu.RLock(); defer s.mu.RUnlock(); s.r() }\n",
 		"package p\nfunc f() { defer func() { recover() }(); panic(1) }\n",
 	}
+	seeds = append(seeds, illTypedSeeds...)
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		fset := token.NewFileSet()
-		file, err := parser.ParseFile(fset, "fuzz.go", src, parser.SkipObjectResolution)
+		p, _, err := typedPass(src)
 		if err != nil {
 			t.Skip()
-		}
-		var diags []Diagnostic
-		p := &pass{
-			fset:    fset,
-			root:    ".",
-			modPath: "fixture",
-			unit:    &Unit{Dir: ".", Name: "p", Files: []*ast.File{file}},
-			diags:   &diags,
 		}
 		s := p.summaries()
 		checkSummaryInvariants(t, s)

@@ -45,15 +45,18 @@ package lint
 // The per-function environments are built inside buildSummaries'
 // bottom-up SCC fixpoint, so recursion terminates for the usual
 // reason: every domain here is a finite join-semilattice that only
-// grows. Heuristic (Info == nil) mode degrades to name-keyed
-// environments and textual matchers; FuzzTaint pins that the builder
-// and both passes survive arbitrary parseable input there.
+// grows. Environments are keyed by types.Object and every matcher goes
+// through go/types; an identifier or call go/types left unresolved (an
+// ill-typed unit's partial Info) carries no taint and matches no
+// source, sanitizer or sink. FuzzTaint pins that the builder and both
+// passes survive arbitrary parseable input, type-checked.
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -140,15 +143,14 @@ type taintFinding struct {
 }
 
 // taintEnv is the flow-insensitive taint environment of one function,
-// keyed by types.Object in typed units and by identifier spelling in
-// heuristic mode.
+// keyed by the types.Object each identifier resolves to.
 type taintEnv struct {
 	s *summaries
 	n *funcNode
 
-	vals      map[any]*taintVal
-	sanitized map[any]bool
-	paramIdx  map[any]int // flattened parameter positions
+	vals      map[types.Object]*taintVal
+	sanitized map[types.Object]bool
+	paramIdx  map[types.Object]int // flattened parameter positions
 
 	findings []taintFinding
 	reported map[string]bool // pos/sink dedup
@@ -157,20 +159,14 @@ type taintEnv struct {
 
 // keyOf resolves an identifier to its environment key, nil for blanks
 // and unresolvable names.
-func (e *taintEnv) keyOf(id *ast.Ident) any {
+func (e *taintEnv) keyOf(id *ast.Ident) types.Object {
 	if id == nil || id.Name == "_" {
 		return nil
 	}
-	if info := e.s.p.unit.Info; info != nil {
-		if obj := info.Uses[id]; obj != nil {
-			return obj
-		}
-		if obj := info.Defs[id]; obj != nil {
-			return obj
-		}
-		return nil
+	if obj := e.s.p.unit.Info.Uses[id]; obj != nil {
+		return obj
 	}
-	return id.Name
+	return e.s.p.unit.Info.Defs[id]
 }
 
 // rootIdent unwraps selectors, indexes, stars and parens down to the
@@ -203,9 +199,9 @@ func (s *summaries) computeTaint(n *funcNode) bool {
 	e := &taintEnv{
 		s:         s,
 		n:         n,
-		vals:      map[any]*taintVal{},
-		sanitized: map[any]bool{},
-		paramIdx:  map[any]int{},
+		vals:      map[types.Object]*taintVal{},
+		sanitized: map[types.Object]bool{},
+		paramIdx:  map[types.Object]int{},
 		reported:  map[string]bool{},
 		sinks:     map[int]sinkRef{},
 	}
@@ -238,7 +234,7 @@ func (s *summaries) computeTaint(n *funcNode) bool {
 	return changed
 }
 
-// indexParams maps parameter objects (or names) to their flattened
+// indexParams maps parameter objects to their flattened
 // positions, the coordinate system taint summaries speak.
 func (e *taintEnv) indexParams() {
 	params := e.n.decl.Type.Params
@@ -286,12 +282,9 @@ func (e *taintEnv) seed() {
 					}
 				}
 			}
-			if name, ok := sanitizerCall(e.s.p, m); ok && len(m.Args) > 0 {
-				if root := rootIdent(m.Args[0]); root != nil {
-					if key := e.keyOf(root); key != nil {
-						_ = name
-						e.sanitized[key] = true
-					}
+			if sanitizerCall(e.s.p, m) && len(m.Args) > 0 {
+				if key := e.keyOf(rootIdent(m.Args[0])); key != nil {
+					e.sanitized[key] = true
 				}
 			}
 		}
@@ -481,10 +474,8 @@ func (e *taintEnv) exprTaint(expr ast.Expr) *taintVal {
 func (e *taintEnv) callTaint(call *ast.CallExpr) *taintVal {
 	p := e.s.p
 	// Conversions pass taint through unchanged.
-	if p.unit.Info != nil {
-		if tv, ok := p.unit.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-			return e.exprTaint(call.Args[0])
-		}
+	if tv, ok := p.unit.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
+		return e.exprTaint(call.Args[0])
 	}
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if isBuiltinName(p, id) {
@@ -502,7 +493,7 @@ func (e *taintEnv) callTaint(call *ast.CallExpr) *taintVal {
 	if why, ok := taintSourceCall(p, call); ok {
 		return &taintVal{fact: &taintFact{why: why, pos: call.Pos()}}
 	}
-	if _, ok := sanitizerCall(p, call); ok {
+	if sanitizerCall(p, call) {
 		return nil
 	}
 	if isModulePkgCall(p, call, "internal/rng") {
@@ -595,9 +586,6 @@ func (e *taintEnv) sinkArg(arg ast.Expr, what string, pos token.Pos, via string)
 // be pure functions of (scene, seed, window).
 func (e *taintEnv) scanGridStore(a *ast.AssignStmt) {
 	info := e.s.p.unit.Info
-	if info == nil {
-		return
-	}
 	for i, lhs := range a.Lhs {
 		ix, ok := ast.Unparen(lhs).(*ast.IndexExpr)
 		if !ok {
@@ -703,73 +691,21 @@ func capturedByLit(p *pass, lit *ast.FuncLit, id *ast.Ident) bool {
 	if id == nil || id.Name == "_" {
 		return false
 	}
-	if info := p.unit.Info; info != nil {
-		obj := info.Uses[id]
-		if obj == nil {
-			// Defined at this very site (:=) — local to the literal.
-			return false
-		}
-		if obj.Parent() == p.unit.Pkg.Scope() {
-			return true
-		}
-		return obj.Pos() < lit.Pos() || obj.Pos() >= lit.End()
-	}
-	return !litDeclares(lit, id.Name)
-}
-
-// litDeclares reports whether the literal's parameters or body declare
-// name — the heuristic-mode stand-in for scope resolution.
-func litDeclares(lit *ast.FuncLit, name string) bool {
-	if lit.Type.Params != nil {
-		for _, field := range lit.Type.Params.List {
-			for _, id := range field.Names {
-				if id.Name == name {
-					return true
-				}
-			}
-		}
-	}
-	found := false
-	ast.Inspect(lit.Body, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		switch m := m.(type) {
-		case *ast.AssignStmt:
-			if m.Tok == token.DEFINE {
-				for _, lhs := range m.Lhs {
-					if id, ok := lhs.(*ast.Ident); ok && id.Name == name {
-						found = true
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for _, id := range m.Names {
-				if id.Name == name {
-					found = true
-				}
-			}
-		case *ast.RangeStmt:
-			if m.Tok == token.DEFINE {
-				for _, x := range []ast.Expr{m.Key, m.Value} {
-					if id, ok := x.(*ast.Ident); ok && id.Name == name {
-						found = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// isMapExpr reports whether e has map type (false without type info).
-func (e *taintEnv) isMapExpr(x ast.Expr) bool {
-	info := e.s.p.unit.Info
-	if info == nil {
+	obj := p.unit.Info.Uses[id]
+	if obj == nil {
+		// Defined at this very site (:=) — local to the literal — or
+		// unresolved.
 		return false
 	}
-	tv, ok := info.Types[x]
+	if obj.Parent() == p.unit.Pkg.Scope() {
+		return true
+	}
+	return obj.Pos() < lit.Pos() || obj.Pos() >= lit.End()
+}
+
+// isMapExpr reports whether e has map type.
+func (e *taintEnv) isMapExpr(x ast.Expr) bool {
+	tv, ok := e.s.p.unit.Info.Types[x]
 	if !ok || tv.Type == nil {
 		return false
 	}
@@ -784,11 +720,7 @@ func (e *taintEnv) isSyncMapRange(call *ast.CallExpr) bool {
 	if !ok || sel.Sel.Name != "Range" || len(call.Args) != 1 {
 		return false
 	}
-	info := e.s.p.unit.Info
-	if info == nil {
-		return false
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	fn, ok := e.s.p.unit.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return false
 	}
@@ -798,42 +730,16 @@ func (e *taintEnv) isSyncMapRange(call *ast.CallExpr) bool {
 
 // --- shared call matchers ------------------------------------------------
 
-// pkgCallName resolves a call to a package-level function of pkgPath,
-// returning its name when it is one of names — through go/types when
-// the unit is typed, and by the package identifier's spelling (the
-// path's last element) otherwise. Shared by ctxflow's Background/TODO
-// matcher, detflow's source matchers, and seedrand's time-seed rule.
+// pkgCallName resolves a call (through go/types) to a package-level
+// function of pkgPath, returning its name when it is one of names.
+// Shared by ctxflow's Background/TODO matcher, detflow's source
+// matchers, and seedrand's time-seed rule.
 func pkgCallName(p *pass, call *ast.CallExpr, pkgPath string, names ...string) (string, bool) {
-	match := func(name string) (string, bool) {
-		for _, want := range names {
-			if name == want {
-				return name, true
-			}
-		}
+	pkg, name, ok := pkgFuncName(p, call)
+	if !ok || pkg != pkgPath || !slices.Contains(names, name) {
 		return "", false
 	}
-	if pkg, name, ok := pkgFuncName(p, call); ok {
-		if pkg != pkgPath {
-			return "", false
-		}
-		return match(name)
-	}
-	if p.unit.Info != nil {
-		return "", false // typed unit, not a package-level call
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	last := pkgPath
-	if i := strings.LastIndexByte(pkgPath, '/'); i >= 0 {
-		last = pkgPath[i+1:]
-	}
-	if !ok || id.Name != last {
-		return "", false
-	}
-	return match(sel.Sel.Name)
+	return name, true
 }
 
 // taintSourceCall classifies expression-shaped nondeterminism sources.
@@ -846,13 +752,6 @@ func taintSourceCall(p *pass, call *ast.CallExpr) (string, bool) {
 	}
 	if pkg, _, ok := pkgFuncName(p, call); ok && (pkg == "math/rand" || pkg == "math/rand/v2") {
 		return "global " + pkg, true
-	}
-	if p.unit.Info == nil {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == "rand" {
-				return "global math/rand", true
-			}
-		}
 	}
 	// Pointer formatting: fmt.Sprintf("%p", x) and friends bake an
 	// ASLR-randomized address into a string.
@@ -867,56 +766,24 @@ func taintSourceCall(p *pass, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// sanitizerCall matches order-erasing calls: anything in sort or
-// slices (Sort*, Compact, etc. — their outputs no longer depend on
-// insertion or iteration order).
-func sanitizerCall(p *pass, call *ast.CallExpr) (string, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	if pkg, name, ok := pkgFuncName(p, call); ok {
-		if pkg == "sort" || pkg == "slices" {
-			return pkg + "." + name, true
-		}
-		return "", false
-	}
-	if p.unit.Info == nil {
-		if id, ok := sel.X.(*ast.Ident); ok && (id.Name == "sort" || id.Name == "slices") {
-			return id.Name + "." + sel.Sel.Name, true
-		}
-	}
-	return "", false
+// sanitizerCall matches order-erasing calls: any package-level
+// function of sort or slices (Sort*, Compact, etc. — their outputs no
+// longer depend on insertion or iteration order).
+func sanitizerCall(p *pass, call *ast.CallExpr) bool {
+	pkg, _, ok := pkgFuncName(p, call)
+	return ok && (pkg == "sort" || pkg == "slices")
 }
 
 // isModulePkgCall reports whether the call resolves into a module
 // package whose import path ends with suffix (e.g. "internal/rng"),
 // methods included.
 func isModulePkgCall(p *pass, call *ast.CallExpr, suffix string) bool {
-	if p.unit.Info != nil {
-		var fn *types.Func
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			fn, _ = p.unit.Info.Uses[fun].(*types.Func)
-		case *ast.SelectorExpr:
-			fn, _ = p.unit.Info.Uses[fun.Sel].(*types.Func)
-		}
-		if fn == nil || fn.Pkg() == nil {
-			return false
-		}
-		pkg := fn.Pkg().Path()
-		return strings.HasSuffix(pkg, "/"+suffix) || pkg == suffix
+	fn := usedFunc(p.unit, call.Fun)
+	if fn == nil || fn.Pkg() == nil {
+		return false
 	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if id, ok := sel.X.(*ast.Ident); ok {
-			last := suffix
-			if i := strings.LastIndexByte(suffix, '/'); i >= 0 {
-				last = suffix[i+1:]
-			}
-			return id.Name == last
-		}
-	}
-	return false
+	pkg := fn.Pkg().Path()
+	return strings.HasSuffix(pkg, "/"+suffix) || pkg == suffix
 }
 
 // isModuleNamedType reports whether t is a named type (possibly behind
@@ -933,18 +800,10 @@ func isModuleNamedType(p *pass, t types.Type, suffix string) bool {
 	return pkg != nil && strings.HasSuffix(pkg.Path(), suffix)
 }
 
-// isBuiltinName reports whether the identifier resolves to a builtin
-// (textually, for heuristic mode).
+// isBuiltinName reports whether the identifier resolves to a builtin.
 func isBuiltinName(p *pass, id *ast.Ident) bool {
-	if p.unit.Info != nil {
-		_, ok := p.unit.Info.Uses[id].(*types.Builtin)
-		return ok
-	}
-	switch id.Name {
-	case "len", "cap", "make", "new", "append", "copy", "min", "max", "delete", "clear":
-		return true
-	}
-	return false
+	_, ok := p.unit.Info.Uses[id].(*types.Builtin)
+	return ok
 }
 
 // --- sinks ---------------------------------------------------------------
@@ -956,42 +815,24 @@ func classifySink(p *pass, call *ast.CallExpr) (string, bool) {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		name = fun.Name
-		if p.unit.Info != nil {
-			if fn, ok := p.unit.Info.Uses[fun].(*types.Func); ok && fn.Pkg() != nil {
-				pkgPath = fn.Pkg().Path()
-			}
+		if fn, ok := p.unit.Info.Uses[fun].(*types.Func); ok && fn.Pkg() != nil {
+			pkgPath = fn.Pkg().Path()
 		}
 	case *ast.SelectorExpr:
 		name = fun.Sel.Name
-		if p.unit.Info != nil {
-			if fn, ok := p.unit.Info.Uses[fun.Sel].(*types.Func); ok && fn.Pkg() != nil {
-				pkgPath = fn.Pkg().Path()
+		if fn, ok := p.unit.Info.Uses[fun.Sel].(*types.Func); ok && fn.Pkg() != nil {
+			pkgPath = fn.Pkg().Path()
+		}
+		// A method reached through an embedded interface resolves to
+		// the embedding package (hash.Hash.Write is io.Writer.Write);
+		// the receiver's named type carries the package that matters.
+		if tv, ok := p.unit.Info.Types[fun.X]; ok && tv.Type != nil {
+			t := tv.Type
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
 			}
-			// A method reached through an embedded interface resolves to
-			// the embedding package (hash.Hash.Write is io.Writer.Write);
-			// the receiver's named type carries the package that matters.
-			if tv, ok := p.unit.Info.Types[fun.X]; ok && tv.Type != nil {
-				t := tv.Type
-				if ptr, ok := t.(*types.Pointer); ok {
-					t = ptr.Elem()
-				}
-				if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
-					recvPath = named.Obj().Pkg().Path()
-				}
-			}
-		} else if id, ok := fun.X.(*ast.Ident); ok {
-			// Heuristic mode: trust the package identifier's spelling.
-			switch id.Name {
-			case "sha256", "sha1", "sha512", "md5", "fnv", "crc32", "crc64", "maphash":
-				pkgPath = "hash/" + id.Name
-			case "json":
-				pkgPath = "encoding/json"
-			case "binary":
-				pkgPath = "encoding/binary"
-			case "rng":
-				pkgPath = "internal/rng"
-			case "render":
-				pkgPath = "internal/render"
+			if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
+				recvPath = named.Obj().Pkg().Path()
 			}
 		}
 	default:
@@ -1045,7 +886,7 @@ type taskSite struct {
 }
 
 // parLauncherNames are the fan-out entry points of the module's par
-// package (and the name-heuristic fallback for untyped units).
+// package.
 var parLauncherNames = map[string]bool{
 	"For": true, "ForEach": true, "Dynamic": true,
 	"Submit": true, "TrySubmit": true, "Background": true, "Go": true,
@@ -1094,17 +935,13 @@ func isParLauncher(p *pass, call *ast.CallExpr) bool {
 	if !ok || !parLauncherNames[sel.Sel.Name] {
 		return false
 	}
-	if p.unit.Info != nil {
-		fn, ok := p.unit.Info.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil {
-			return false
-		}
-		path := fn.Pkg().Path()
-		inModule := path == p.modPath || strings.HasPrefix(path, p.modPath+"/")
-		return inModule && (strings.HasSuffix(path, "/par") || path == "par")
+	fn, ok := p.unit.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return false
 	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == "par"
+	path := fn.Pkg().Path()
+	inModule := path == p.modPath || strings.HasPrefix(path, p.modPath+"/")
+	return inModule && (strings.HasSuffix(path, "/par") || path == "par")
 }
 
 func launcherName(call *ast.CallExpr) string {
@@ -1114,12 +951,8 @@ func launcherName(call *ast.CallExpr) string {
 	return "par launcher"
 }
 
-// isFuncValued reports whether the expression has function type (true
-// by shape in heuristic mode — the launcher arg position implies it).
+// isFuncValued reports whether the expression has function type.
 func isFuncValued(p *pass, e ast.Expr) bool {
-	if p.unit.Info == nil {
-		return true
-	}
 	tv, ok := p.unit.Info.Types[e]
 	if !ok || tv.Type == nil {
 		return false

@@ -2,17 +2,11 @@ package lint
 
 // White-box tests for the determinism-taint engine (taint.go): return
 // taint, sanitizers, sink-through-callee summaries, and the float
-// accumulation summaries floatreduce consumes — all in heuristic
-// (untyped) mode, the mode with no safety net — plus FuzzTaint, which
+// accumulation summaries floatreduce consumes — plus FuzzTaint, which
 // asserts the engine's invariants on arbitrary parseable input and
 // that both taint passes survive it.
 
-import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"testing"
-)
+import "testing"
 
 func TestTaintReturnPropagation(t *testing.T) {
 	p := parsePass(t, `package p
@@ -34,9 +28,8 @@ func fixed() string { return "v1" }
 }
 
 func TestTaintSanitizerClears(t *testing.T) {
-	// Map ranges need type information, so the heuristic-mode source
-	// here is os.Getenv; the point is the sanitizer model — a variable
-	// that passes through sort.* never reports.
+	// The source is os.Getenv; the point is the sanitizer model — a
+	// variable that passes through sort.* never reports.
 	p := parsePass(t, `package p
 import (
 	"crypto/sha256"
@@ -107,7 +100,9 @@ func local(v float64) { acc := 0.0; acc += v; _ = acc }
 	}
 }
 
-func TestFloatreduceHeuristic(t *testing.T) {
+// TestFloatreduceCapturedScalarOnly: a task's += into a captured
+// scalar is flagged; a per-index += into a captured slice is not.
+func TestFloatreduceCapturedScalarOnly(t *testing.T) {
 	p := parsePass(t, `package p
 func sum(v []float64) float64 {
 	s := 0.0
@@ -185,22 +180,14 @@ func FuzzTaint(f *testing.F) {
 		"package p\nimport \"encoding/json\"\nfunc f(a, b chan int) {\n\tvar x int\n\tselect {\n\tcase x = <-a:\n\tcase x = <-b:\n\t}\n\tjson.Marshal(x)\n}\n",
 		"package p\nfunc a() string { return b() }\nfunc b() string { return a() }\n",
 	}
+	seeds = append(seeds, illTypedSeeds...)
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		fset := token.NewFileSet()
-		file, err := parser.ParseFile(fset, "fuzz.go", src, parser.SkipObjectResolution)
+		p, _, err := typedPass(src)
 		if err != nil {
 			t.Skip()
-		}
-		var diags []Diagnostic
-		p := &pass{
-			fset:    fset,
-			root:    ".",
-			modPath: "fixture",
-			unit:    &Unit{Dir: ".", Name: "p", Files: []*ast.File{file}},
-			diags:   &diags,
 		}
 		s := p.summaries()
 		checkTaintInvariants(t, s)

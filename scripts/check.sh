@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # check.sh — the repository's verification gate. CI runs exactly this
 # script; run it locally before pushing. It chains:
-#   build → gofmt → go vet → rrslint → tests → race tests → bench smoke
-#   → fuzz smoke.
+#   build → gofmt → go vet → cross-compile (arm64) + noasm tests
+#   → rrslint → tests → race tests → rrsd smoke → cluster smoke
+#   → bench smoke → fuzz smoke.
 # and prints a per-step timing summary at the end (also on failure,
 # with the failing step named — slow steps are the first suspects).
 #
