@@ -160,8 +160,8 @@ func BenchmarkKernelTruncation(b *testing.B) {
 			}
 		})
 		// The same window through the f32 render pipeline (SIMD MAC
-		// kernels, half the memory traffic). Diff against the f64 case
-		// with `rrsbench compare -map old=new -tolerance`.
+		// kernels, half the memory traffic), paired with the f64 case
+		// above.
 		b.Run(fmt.Sprintf("%s/taps=%dx%d/f32", c.name, c.k.Nx, c.k.Ny), func(b *testing.B) {
 			gen := convgen.NewGenerator(c.k, 1)
 			gen.Engine = convgen.EngineDirect
@@ -433,9 +433,9 @@ func BenchmarkExactVarianceOverhead(b *testing.B) {
 // fixed pan+zoom trace (levels 0..3, the rrsload zoom-walk shape) from
 // per-level kernels versus rendering the equivalent map area entirely
 // at level 0. A level-z tile covers 4^z level-0 tiles' worth of area,
-// so the pyramid renders ~85× fewer samples over this trace; the gate
-// in bench.sh requires the pyramid to take at most 40% of the level-0
-// time. Generators are pre-built for both arms — the benchmark
+// so the pyramid renders ~85× fewer samples over this trace; the
+// pyramid gate in scripts/check.sh requires the pyramid to take at most
+// 40% of the level-0 time. Generators are pre-built for both arms — the benchmark
 // measures render cost, not kernel design.
 func BenchmarkZoomWalk(b *testing.B) {
 	sc := core.Scene{Nx: 64, Ny: 64, Method: core.MethodHomogeneous,

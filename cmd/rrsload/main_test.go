@@ -51,7 +51,7 @@ func TestTileForDeterministicAndBounded(t *testing.T) {
 
 // TestRunAgainstService drives a short closed loop against an in-process
 // daemon and checks the report: every request succeeded and the output
-// has the quantile line bench.sh greps for.
+// has the latency-quantile and status lines.
 func TestRunAgainstService(t *testing.T) {
 	s := service.New(service.Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())

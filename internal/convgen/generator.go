@@ -140,15 +140,22 @@ func (g *Generator) Kernel() *Kernel { return g.kernel }
 // is the surface value at lattice point (i0+i, j0+j); physical
 // coordinates are lattice × spacing. The returned grid is caller-owned.
 func (g *Generator) GenerateAt(i0, j0 int64, nx, ny int) *grid.Grid {
-	if nx < 1 || ny < 1 {
-		panic(fmt.Sprintf("convgen: invalid window %dx%d", nx, ny))
-	}
+	return generateAt[float64](g, i0, j0, nx, ny)
+}
+
+// GenerateAt32 is GenerateAt at float32 render precision, returning a
+// caller-owned Grid32.
+func (g *Generator) GenerateAt32(i0, j0 int64, nx, ny int) *grid.Grid32 {
+	return generateAt[float32](g, i0, j0, nx, ny)
+}
+
+// generateAt is the one body behind GenerateAt and GenerateAt32: it
+// allocates the window's grid at precision F and renders into it.
+func generateAt[F simd.Float](g *Generator, i0, j0 int64, nx, ny int) *grid.Of[F] {
 	k := g.kernel
-	out := grid.New(nx, ny)
-	out.Dx, out.Dy = k.Dx, k.Dy
-	out.X0 = float64(i0) * k.Dx
-	out.Y0 = float64(j0) * k.Dy
-	g.GenerateAtInto(out.Data, nx, i0, j0, nx, ny, g.Workers)
+	out := grid.NewOf[F](nx, ny)
+	out.Dx, out.Dy, out.X0, out.Y0 = k.Dx, k.Dy, float64(i0)*k.Dx, float64(j0)*k.Dy
+	RenderInto(g, out.Data, nx, i0, j0, nx, ny, g.Workers)
 	return out
 }
 
@@ -242,21 +249,6 @@ func checkWindow(dstLen, stride, nx, ny int) {
 	if need := stride*(ny-1) + nx; dstLen < need {
 		panic(fmt.Sprintf("convgen: destination holds %d samples, window needs %d", dstLen, need))
 	}
-}
-
-// GenerateAt32 is GenerateAt at float32 render precision, returning a
-// caller-owned Grid32.
-func (g *Generator) GenerateAt32(i0, j0 int64, nx, ny int) *grid.Grid32 {
-	if nx < 1 || ny < 1 {
-		panic(fmt.Sprintf("convgen: invalid window %dx%d", nx, ny))
-	}
-	k := g.kernel
-	out := grid.New32(nx, ny)
-	out.Dx, out.Dy = k.Dx, k.Dy
-	out.X0 = float64(i0) * k.Dx
-	out.Y0 = float64(j0) * k.Dy
-	g.GenerateAtInto32(out.Data, nx, i0, j0, nx, ny, g.Workers)
-	return out
 }
 
 // GenerateCentered materializes an nx×ny window centered on the lattice

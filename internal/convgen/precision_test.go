@@ -111,23 +111,6 @@ func TestGenerateAtInto32Panics(t *testing.T) {
 	}
 }
 
-// TestGrid32Widen: the f64 view of an f32 tile must be the exact
-// widening of every sample with metadata carried through.
-func TestGrid32Widen(t *testing.T) {
-	k := MustDesign(spectrum.MustGaussian(1, 3, 3), 0.5, 2, 5, 1e-3)
-	gen := NewGenerator(k, 3)
-	g32 := gen.GenerateAt32(2, -5, 9, 7)
-	w := g32.Widen()
-	if w.Nx != g32.Nx || w.Ny != g32.Ny || !approx.Exact(w.Dy, g32.Dy) || !approx.Exact(w.Y0, g32.Y0) {
-		t.Fatalf("Widen metadata mismatch: %+v", w)
-	}
-	for i, v := range g32.Data {
-		if !approx.Exact(w.Data[i], float64(v)) {
-			t.Fatalf("Widen[%d] = %g, want %g", i, w.Data[i], v)
-		}
-	}
-}
-
 // FuzzConv32Agreement drives the f32/f64 agreement property over
 // fuzzer-chosen seeds, window origins, and correlation lengths, for
 // whichever engine the auto heuristic picks. Wired into the check.sh

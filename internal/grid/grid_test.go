@@ -2,6 +2,9 @@ package grid
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
@@ -14,6 +17,18 @@ import (
 func randomGrid(nx, ny int, seed int64) *Grid {
 	g := NewCentered(nx, ny, 2, 3)
 	rng.NewGaussian(uint64(seed)).Fill(g.Data)
+	return g
+}
+
+// randomOf is randomGrid rounded to precision F, so one generic test
+// body covers both Grid and Grid32.
+func randomOf[F float](nx, ny int, seed int64) *Of[F] {
+	w := randomGrid(nx, ny, seed)
+	g := NewOf[F](nx, ny)
+	g.Dx, g.Dy, g.X0, g.Y0 = w.Dx, w.Dy, w.X0, w.Y0
+	for i, v := range w.Data {
+		g.Data[i] = F(v)
+	}
 	return g
 }
 
@@ -41,29 +56,39 @@ func TestAtSetIndex(t *testing.T) {
 }
 
 func TestCloneIsDeep(t *testing.T) {
-	g := randomGrid(4, 4, 1)
+	testCloneIsDeep[float64](t)
+	testCloneIsDeep[float32](t)
+}
+
+func testCloneIsDeep[F float](t *testing.T) {
+	g := randomOf[F](4, 4, 1)
 	c := g.Clone()
 	c.Data[0] = 999
-	if approx.Exact(g.Data[0], 999) {
-		t.Error("Clone shares backing array")
+	if approx.Exact(float64(g.Data[0]), 999) {
+		t.Errorf("%T: Clone shares backing array", g)
 	}
 }
 
 func TestSubPreservesCoordinates(t *testing.T) {
-	g := randomGrid(16, 12, 2)
+	testSubPreservesCoordinates[float64](t)
+	testSubPreservesCoordinates[float32](t)
+}
+
+func testSubPreservesCoordinates[F float](t *testing.T) {
+	g := randomOf[F](16, 12, 2)
 	s := g.Sub(4, 3, 8, 6)
 	if s.Nx != 8 || s.Ny != 6 {
-		t.Fatalf("Sub size %dx%d", s.Nx, s.Ny)
+		t.Fatalf("%T: Sub size %dx%d", g, s.Nx, s.Ny)
 	}
 	for iy := 0; iy < s.Ny; iy++ {
 		for ix := 0; ix < s.Nx; ix++ {
-			if !approx.Exact(s.At(ix, iy), g.At(ix+4, iy+3)) {
-				t.Fatalf("sample mismatch at (%d,%d)", ix, iy)
+			if !approx.Exact(float64(s.At(ix, iy)), float64(g.At(ix+4, iy+3))) {
+				t.Fatalf("%T: sample mismatch at (%d,%d)", g, ix, iy)
 			}
 			sx, sy := s.XY(ix, iy)
 			gx, gy := g.XY(ix+4, iy+3)
 			if !approx.Exact(sx, gx) || !approx.Exact(sy, gy) {
-				t.Fatalf("coordinate mismatch at (%d,%d)", ix, iy)
+				t.Fatalf("%T: coordinate mismatch at (%d,%d)", g, ix, iy)
 			}
 		}
 	}
@@ -79,14 +104,36 @@ func TestSubOutOfRangePanics(t *testing.T) {
 }
 
 func TestMinMaxMean(t *testing.T) {
-	g := New(2, 2)
-	copy(g.Data, []float64{1, -3, 5, 1})
+	testMinMaxMean[float64](t)
+	testMinMaxMean[float32](t)
+}
+
+func testMinMaxMean[F float](t *testing.T) {
+	g := NewOf[F](2, 2)
+	copy(g.Data, []F{1, -3, 5, 1})
 	min, max := g.MinMax()
-	if !approx.Exact(min, -3) || !approx.Exact(max, 5) {
-		t.Errorf("MinMax = (%g,%g)", min, max)
+	if !approx.Exact(float64(min), -3) || !approx.Exact(float64(max), 5) {
+		t.Errorf("%T: MinMax = (%g,%g)", g, min, max)
 	}
 	if !approx.Exact(g.Mean(), 1) {
-		t.Errorf("Mean = %g", g.Mean())
+		t.Errorf("%T: Mean = %g", g, g.Mean())
+	}
+}
+
+// TestGrid32Widen: the f64 view of an f32 tile must be the exact
+// widening of every sample with metadata carried through.
+func TestGrid32Widen(t *testing.T) {
+	g32 := randomOf[float32](9, 7, 3)
+	g32.Dx, g32.Y0 = 0.5, -10
+	w := g32.Widen()
+	if w.Nx != g32.Nx || w.Ny != g32.Ny || !approx.Exact(w.Dx, g32.Dx) || !approx.Exact(w.Dy, g32.Dy) ||
+		!approx.Exact(w.X0, g32.X0) || !approx.Exact(w.Y0, g32.Y0) {
+		t.Fatalf("Widen metadata mismatch: %+v", w)
+	}
+	for i, v := range g32.Data {
+		if !approx.Exact(w.Data[i], float64(v)) {
+			t.Fatalf("Widen[%d] = %g, want %g", i, w.Data[i], v)
+		}
 	}
 }
 
@@ -120,6 +167,77 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	if !got.EqualWithin(g, 0) {
 		t.Error("binary round trip changed the grid")
+	}
+}
+
+// pinGrid is a fixed 40×30 grid, built without the RNG, whose 9656-byte
+// RRSG encoding spans three bufio buffers. It carries -0, +Inf and the
+// smallest subnormal among exact binary fractions.
+func pinGrid() *Grid {
+	g := NewCentered(40, 30, 0.5, 0.25)
+	for i := range g.Data {
+		g.Data[i] = float64(i%97)*0.125 - 6
+	}
+	g.Data[1] = math.Copysign(0, -1)
+	g.Data[2] = math.Inf(1)
+	g.Data[3] = math.SmallestNonzeroFloat64
+	return g
+}
+
+// TestBinaryBytesPinned pins the RRSG bytes of pinGrid, and checks that
+// a float32 grid encodes exactly as its float64 widening.
+func TestBinaryBytesPinned(t *testing.T) {
+	const want = "cbc0d63f7f6a9b8da9399c62046334286f7c35392176903e763c868c0b411c5c"
+	g := pinGrid()
+	var buf bytes.Buffer
+	n, err := g.WriteTo(&buf)
+	if err != nil || n != int64(buf.Len()) || n != 56+8*40*30 {
+		t.Fatalf("WriteTo = (%d, %v), buffer holds %d bytes", n, err, buf.Len())
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("RRSG SHA-256 = %s, want %s", got, want)
+	}
+	g32 := &Grid32{Nx: g.Nx, Ny: g.Ny, Dx: g.Dx, Dy: g.Dy, X0: g.X0, Y0: g.Y0, Data: make([]float32, g.Len())}
+	for i, v := range g.Data {
+		g32.Data[i] = float32(v)
+	}
+	var b32, wide bytes.Buffer
+	if _, err := g32.WriteTo(&b32); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g32.Widen().WriteTo(&wide); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b32.Bytes(), wide.Bytes()) {
+		t.Error("Grid32 RRSG bytes differ from its widening's")
+	}
+}
+
+var errWriterFull = errors.New("writer full")
+
+// failAfter accepts the first k bytes written to it, then fails.
+type failAfter struct{ k int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) <= f.k {
+		f.k -= len(p)
+		return len(p), nil
+	}
+	n := f.k
+	f.k = 0
+	return n, errWriterFull
+}
+
+// TestWriteToCountsAcceptedBytes: when the writer fails, WriteTo still
+// reports the bytes it accepted, as io.WriterTo requires — including
+// whole buffers flushed before the failure.
+func TestWriteToCountsAcceptedBytes(t *testing.T) {
+	g := pinGrid()
+	for _, k := range []int{0, 100, 4096, 5000, 9655} {
+		n, err := g.WriteTo(&failAfter{k: k})
+		if !errors.Is(err, errWriterFull) || n != int64(k) {
+			t.Errorf("writer failing after %d bytes: WriteTo = (%d, %v), want (%d, %v)", k, n, err, k, errWriterFull)
+		}
 	}
 }
 

@@ -30,36 +30,45 @@ const (
 	maxBinaryDim = 1 << 24
 )
 
-// WriteTo serializes g in the binary surface format.
-func (g *Grid) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return n, err
-	}
-	hdr := make([]byte, 4+6*8)
-	binary.LittleEndian.PutUint32(hdr[0:], binaryVersion)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(int64(g.Nx)))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(int64(g.Ny)))
-	binary.LittleEndian.PutUint64(hdr[20:], math.Float64bits(g.Dx))
-	binary.LittleEndian.PutUint64(hdr[28:], math.Float64bits(g.Dy))
-	binary.LittleEndian.PutUint64(hdr[36:], math.Float64bits(g.X0))
-	binary.LittleEndian.PutUint64(hdr[44:], math.Float64bits(g.Y0))
+// WriteTo serializes g in the binary surface format; float32 samples
+// are widened to the format's float64. n counts the bytes w accepted,
+// on error too, as io.WriterTo requires.
+func (g *Of[F]) WriteTo(w io.Writer) (n int64, err error) {
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriter(cw)
+	hdr := make([]byte, 4+4+6*8)
+	copy(hdr, binaryMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], binaryVersion)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(int64(g.Nx)))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(int64(g.Ny)))
+	binary.LittleEndian.PutUint64(hdr[24:], math.Float64bits(g.Dx))
+	binary.LittleEndian.PutUint64(hdr[32:], math.Float64bits(g.Dy))
+	binary.LittleEndian.PutUint64(hdr[40:], math.Float64bits(g.X0))
+	binary.LittleEndian.PutUint64(hdr[48:], math.Float64bits(g.Y0))
 	if _, err := bw.Write(hdr); err != nil {
-		return n, err
+		return cw.n, err
 	}
 	buf := make([]byte, 8)
 	for _, v := range g.Data {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
+		binary.LittleEndian.PutUint64(buf, math.Float64bits(float64(v)))
 		if _, err := bw.Write(buf); err != nil {
-			return n, err
+			return cw.n, err
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return n, err
-	}
-	n = int64(4 + len(hdr) + 8*len(g.Data))
-	return n, nil
+	err = bw.Flush()
+	return cw.n, err
+}
+
+// countingWriter counts the bytes its writer accepted.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // Read deserializes a grid from the binary surface format.
@@ -100,7 +109,7 @@ func Read(r io.Reader) (*Grid, error) {
 }
 
 // SaveFile writes g to path in the binary surface format.
-func (g *Grid) SaveFile(path string) error {
+func (g *Of[F]) SaveFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -125,7 +134,7 @@ func LoadFile(path string) (*Grid, error) {
 // WriteCSV emits the samples as Ny lines of Nx comma-separated values,
 // preceded by a comment header carrying the geometry. Gnuplot and
 // spreadsheet tools read this directly.
-func (g *Grid) WriteCSV(w io.Writer) error {
+func (g *Of[F]) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# nx=%d ny=%d dx=%g dy=%g x0=%g y0=%g\n", g.Nx, g.Ny, g.Dx, g.Dy, g.X0, g.Y0)
 	for iy := 0; iy < g.Ny; iy++ {
@@ -136,7 +145,7 @@ func (g *Grid) WriteCSV(w io.Writer) error {
 					return err
 				}
 			}
-			if _, err := bw.WriteString(strconv.FormatFloat(v, 'g', -1, 64)); err != nil {
+			if _, err := bw.WriteString(strconv.FormatFloat(float64(v), 'g', -1, 64)); err != nil {
 				return err
 			}
 		}
@@ -150,7 +159,7 @@ func (g *Grid) WriteCSV(w io.Writer) error {
 // WriteXYZ emits one "x y z" line per sample — the format gnuplot's
 // splot and most point-cloud tools accept for 3D surface plots like the
 // paper's figures.
-func (g *Grid) WriteXYZ(w io.Writer) error {
+func (g *Of[F]) WriteXYZ(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for iy := 0; iy < g.Ny; iy++ {
 		for ix := 0; ix < g.Nx; ix++ {

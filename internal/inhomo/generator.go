@@ -136,9 +136,7 @@ func MustGenerator(kernels []*convgen.Kernel, blender Blender, seed uint64) *Gen
 // GenerateAt materializes the window with lower lattice corner (i0, j0)
 // of nx×ny samples.
 func (g *Generator) GenerateAt(i0, j0 int64, nx, ny int) *grid.Grid {
-	out := g.newWindow(i0, j0, nx, ny)
-	g.GenerateAtInto(out, i0, j0)
-	return out
+	return generateAt[float64](g, i0, j0, nx, ny)
 }
 
 // GenerateAtInto renders the window with lower lattice corner (i0, j0)
@@ -146,13 +144,7 @@ func (g *Generator) GenerateAt(i0, j0 int64, nx, ny int) *grid.Grid {
 // the grid's spacing/origin metadata is overwritten to match. Reusing
 // one grid across calls makes steady-state generation allocation-free
 // on the tiled path (per-tile scratch is pooled).
-func (g *Generator) GenerateAtInto(out *grid.Grid, i0, j0 int64) {
-	if out == nil || out.Nx < 1 || out.Ny < 1 {
-		panic("inhomo: GenerateAtInto needs a non-empty destination grid")
-	}
-	out.Dx, out.Dy, out.X0, out.Y0 = g.dx, g.dy, float64(i0)*g.dx, float64(j0)*g.dy
-	RenderInto(g, out.Data, out.Nx, out.Ny, i0, j0)
-}
+func (g *Generator) GenerateAtInto(out *grid.Grid, i0, j0 int64) { generateAtInto(g, out, i0, j0) }
 
 // GenerateAt32 is GenerateAt at float32 render precision. Every engine
 // runs the same path selection and code as the float64 API, with the
@@ -160,18 +152,26 @@ func (g *Generator) GenerateAtInto(out *grid.Grid, i0, j0 int64) {
 // agreement with the float64 engine is tolerance-gated in
 // precision_test.go. The serving daemon uses this path for f32 tiles.
 func (g *Generator) GenerateAt32(i0, j0 int64, nx, ny int) *grid.Grid32 {
-	out := grid.New32(nx, ny)
-	g.GenerateAtInto32(out, i0, j0)
+	return generateAt[float32](g, i0, j0, nx, ny)
+}
+
+// GenerateAtInto32 is GenerateAtInto into a caller-owned float32 grid.
+func (g *Generator) GenerateAtInto32(out *grid.Grid32, i0, j0 int64) { generateAtInto(g, out, i0, j0) }
+
+// generateAt allocates an nx×ny grid at precision F and renders the
+// window into it.
+func generateAt[F simd.Float](g *Generator, i0, j0 int64, nx, ny int) *grid.Of[F] {
+	out := grid.NewOf[F](nx, ny)
+	generateAtInto(g, out, i0, j0)
 	return out
 }
 
-// GenerateAtInto32 renders the window with lower lattice corner
-// (i0, j0) into the caller-owned float32 grid, mirroring
-// GenerateAtInto's contract (size fixed by the grid, metadata
-// overwritten, pooled per-tile scratch).
-func (g *Generator) GenerateAtInto32(out *grid.Grid32, i0, j0 int64) {
+// generateAtInto is the one validate-and-render body behind the
+// GenerateAtInto pair: it sets out's spacing and origin to the window's
+// and renders it through RenderInto.
+func generateAtInto[F simd.Float](g *Generator, out *grid.Of[F], i0, j0 int64) {
 	if out == nil || out.Nx < 1 || out.Ny < 1 {
-		panic("inhomo: GenerateAtInto32 needs a non-empty destination grid")
+		panic("inhomo: GenerateAtInto needs a non-empty destination grid")
 	}
 	out.Dx, out.Dy, out.X0, out.Y0 = g.dx, g.dy, float64(i0)*g.dx, float64(j0)*g.dy
 	RenderInto(g, out.Data, out.Nx, out.Ny, i0, j0)
@@ -521,14 +521,6 @@ func generateReference[F simd.Float](g *Generator, dst []F, nx, ny int, i0, j0 i
 	})
 }
 
-func (g *Generator) newWindow(i0, j0 int64, nx, ny int) *grid.Grid {
-	out := grid.New(nx, ny)
-	out.Dx, out.Dy = g.dx, g.dy
-	out.X0 = float64(i0) * g.dx
-	out.Y0 = float64(j0) * g.dy
-	return out
-}
-
 // WeightMap renders component m's blend weight over a window — useful
 // for inspecting transition geometry and for the per-region statistics
 // in the experiment harness.
@@ -536,7 +528,8 @@ func (g *Generator) WeightMap(m int, i0, j0 int64, nx, ny int) *grid.Grid {
 	if m < 0 || m >= len(g.kernels) {
 		panic(fmt.Sprintf("inhomo: WeightMap component %d of %d", m, len(g.kernels)))
 	}
-	out := g.newWindow(i0, j0, nx, ny)
+	out := grid.New(nx, ny)
+	out.Dx, out.Dy, out.X0, out.Y0 = g.dx, g.dy, float64(i0)*g.dx, float64(j0)*g.dy
 	par.For(ny, g.Workers, func(lo, hi int) {
 		w := make([]float64, len(g.kernels))
 		for j := lo; j < hi; j++ {

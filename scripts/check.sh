@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # check.sh — the repository's verification gate. CI runs exactly this
 # script; run it locally before pushing. It chains:
-#   build → gofmt → go vet → cross-compile (arm64) + noasm tests
-#   → rrslint → tests → race tests → rrsd smoke → cluster smoke
-#   → bench smoke → fuzz smoke.
+#   build (+ the perfbench module) → gofmt → go vet
+#   → cross-compile (arm64) + noasm tests → rrslint → tests → race tests
+#   → rrsd smoke → cluster smoke → bench smoke + pyramid gate
+#   → fuzz smoke.
 # and prints a per-step timing summary at the end (also on failure,
 # with the failing step named — slow steps are the first suspects).
 #
@@ -20,8 +21,10 @@
 #
 # The bench smoke (-benchtime=1x) only proves every benchmark still
 # compiles and runs, including the per-kernel-set benchmarks of
-# internal/fft and internal/simd; perfbench/run.sh is the repository
-# benchmark that does the real measurement.
+# internal/fft and internal/simd. Its one timing gate is the pyramid
+# gate: BenchmarkZoomWalk's pyramid arm must take at most 40% of its
+# level-0 arm. perfbench/run.sh is the repository benchmark that does
+# the real measurement.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,8 +64,14 @@ timing_summary() {
 }
 trap timing_summary EXIT
 
+# perfbench is a nested module that the repository benchmark builds
+# from this checkout; an API change here must not break it silently.
+# It is one main package, so -o /dev/null keeps the binary out of the
+# tree.
 step_begin "build"
 go build ./...
+GOWORK=off go build -C perfbench -o /dev/null ./...
+GOWORK=off go vet -C perfbench ./...
 step_end
 
 step_begin "gofmt"
@@ -276,8 +285,19 @@ done
 rm -rf "$CL_DIR"
 step_end
 
-step_begin "bench smoke (compile + one iteration per benchmark)"
+step_begin "bench smoke (compile + one iteration per benchmark) + pyramid gate"
 go test -run='^$' -bench=. -benchtime=1x . ./internal/fft ./internal/simd > /dev/null
+# Pyramid gate: serving the zoom walk from per-level kernels must take
+# at most 40% of rendering the same map area at level 0 (it takes ~3%).
+# Each arm scores its fastest of three runs.
+ZOOM="$(go test -run='^$' -bench='^BenchmarkZoomWalk$' -benchtime=5x -count=3 .)"
+awk '$4 == "ns/op" && $1 ~ /^BenchmarkZoomWalk\/pyramid/ && (p == "" || $3 < p) { p = $3 }
+     $4 == "ns/op" && $1 ~ /^BenchmarkZoomWalk\/level0/ && (l == "" || $3 < l) { l = $3 }
+     END {
+         if (p == "" || l == "") { print "pyramid gate: ZoomWalk arms missing"; exit 1 }
+         printf "pyramid gate: pyramid %.2f ms / level0 %.2f ms = %.3f (must be <= 0.40)\n", p / 1e6, l / 1e6, p / l
+         exit (p <= 0.40 * l) ? 0 : 1
+     }' <<<"$ZOOM" || { echo "pyramid gate failed:" >&2; echo "$ZOOM" >&2; exit 1; }
 step_end
 
 if [[ "$FUZZTIME" != "0" ]]; then
