@@ -205,28 +205,29 @@ func BenchmarkInhomoFastVsReference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, ref := range []bool{false, true} {
-		name := "fast"
-		if ref {
-			name = "reference-eqn46"
+	gen := inhomo.MustGenerator([]*convgen.Kernel{ka, kb}, blender, 1)
+	b.Run("fast", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = gen.GenerateCentered(64, 64)
 		}
-		b.Run(name, func(b *testing.B) {
-			gen := inhomo.MustGenerator([]*convgen.Kernel{ka, kb}, blender, 1)
-			gen.Reference = ref
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = gen.GenerateCentered(64, 64)
-			}
-		})
-	}
+	})
+	b.Run("reference-eqn46", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			inhomo.Reference(gen, make([]float64, 64*64), 64, 64, -32, -32)
+		}
+	})
 
 	// 3-component plate scene, the tile-sparse engine's target workload:
-	// vertical plates meeting at x = ±64 with narrow transitions, so away
+	// vertical plates meeting at x = ±96 with narrow transitions, so away
 	// from the seams every tile has exactly one active component. Output
-	// goes into a reused caller-owned grid on both paths, so bytes/op is
-	// the engine's own footprint (the dense path's per-component fields
-	// vs the tiled path's pooled scratch).
+	// goes into a reused caller-owned grid on both arms, so bytes/op is
+	// the engine's own footprint. The dense arm renders the window as one
+	// window-sized tile, every component over the whole window; the
+	// tiled arm uses 32² tiles.
 	plates := mustBlender(inhomo.NewPlateBlender([]inhomo.Region{
 		inhomo.Rect{X0: math.Inf(-1), Y0: math.Inf(-1), X1: -96, Y1: math.Inf(1), T: 4},
 		inhomo.Rect{X0: -96, Y0: math.Inf(-1), X1: 96, Y1: math.Inf(1), T: 4},
@@ -237,16 +238,17 @@ func BenchmarkInhomoFastVsReference(b *testing.B) {
 		convgen.MustDesign(spectrum.MustExponential(2, 1.5, 1.5), 1, 1, 6, 1e-3),
 		convgen.MustDesign(spectrum.MustGaussian(0.5, 1.5, 1.5), 1, 1, 6, 1e-3),
 	}
-	for _, engine := range []inhomo.Engine{inhomo.EngineDense, inhomo.EngineTiled} {
-		name := "plates3/dense"
-		if engine == inhomo.EngineTiled {
-			name = "plates3/tiled"
-		}
-		b.Run(name, func(b *testing.B) {
+	const n = 576
+	for _, arm := range []struct {
+		name string
+		tile int
+	}{
+		{"plates3/dense", n},
+		{"plates3/tiled", 32}, // seam tiles (two active components) stay a small fraction
+	} {
+		b.Run(arm.name, func(b *testing.B) {
 			gen := inhomo.MustGenerator(plateKernels, plates, 1)
-			gen.Engine = engine
-			gen.TileSize = 32 // seam tiles (two active components) stay a small fraction
-			const n = 576
+			gen.TileSize = arm.tile
 			dst := grid.New(n, n)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -254,11 +256,9 @@ func BenchmarkInhomoFastVsReference(b *testing.B) {
 				gen.GenerateAtInto(dst, -n/2, -n/2)
 			}
 		})
-		b.Run(name+"/f32", func(b *testing.B) {
+		b.Run(arm.name+"/f32", func(b *testing.B) {
 			gen := inhomo.MustGenerator(plateKernels, plates, 1)
-			gen.Engine = engine
-			gen.TileSize = 32
-			const n = 576
+			gen.TileSize = arm.tile
 			dst := grid.New32(n, n)
 			b.ReportAllocs()
 			b.ResetTimer()

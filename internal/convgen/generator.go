@@ -257,7 +257,7 @@ func (g *Generator) GenerateCentered(nx, ny int) *grid.Grid {
 	return g.GenerateAt(-int64(nx/2), -int64(ny/2), nx, ny)
 }
 
-// EngineFor reports the engine GenerateAt* and ConvolveNoiseInto*
+// EngineFor reports the engine GenerateAt* and ConvolvePlaneInto
 // select for an nx×ny window — EngineDirect or EngineFFT, resolving
 // EngineAuto's cost heuristic. Batching callers use it to size the
 // shared noise plane and for reporting.

@@ -31,7 +31,7 @@ func (v *planeView) row(r, n int) []float64 {
 	return v.data[o : o+n]
 }
 
-// planeArgs validates a ConvolveNoiseInto* call and returns the view of
+// planeArgs validates a ConvolvePlaneInto call and returns the view of
 // the window's noise inside the plane. The plane holds field samples
 // for the lattice rectangle [pi0, pi0+pnx) × [pj0, …), row-major at
 // stride pnx; it must cover the kernel's NoiseWindow for the requested
@@ -66,32 +66,19 @@ func FillPlane[F simd.Float](g *Generator, plane []F, pnx int, pi0, pj0 int64, w
 	})
 }
 
-// ConvolveNoiseInto renders the window like GenerateAtInto but reads
-// field samples from the caller-supplied plane instead of drawing its
-// own. Sharing one plane across many windows (and across same-seed
-// generators, which see the same field) removes the per-window
-// Box–Muller cost at the price of the caller owning coverage. The plane
-// must hold Field.FillRow output for its rectangle. The engine is the
-// one GenerateAtInto picks for the window (EngineFor), and the result
-// is bit-identical to GenerateAtInto's: the direct engine reads the
-// plane in place, and the FFT engine copies the window's noise rows
-// into its padded workspace where it would otherwise fill them, so
-// both see the same noise values and do the same arithmetic.
-func (g *Generator) ConvolveNoiseInto(dst []float64, stride int, plane []float64, pnx int, pi0, pj0, i0, j0 int64, nx, ny, workers int) {
-	ConvolvePlaneInto(g, dst, stride, plane, pnx, pi0, pj0, i0, j0, nx, ny, workers)
-}
-
-// ConvolveNoiseInto32 is ConvolveNoiseInto at float32 render precision.
-// The plane is the same float64 plane; the direct engine narrows the
-// window's noise from it once per sample, which is exactly
-// Field.FillRow32's output, so results are bit-identical to
-// GenerateAtInto32.
-func (g *Generator) ConvolveNoiseInto32(dst []float32, stride int, plane []float64, pnx int, pi0, pj0, i0, j0 int64, nx, ny, workers int) {
-	ConvolvePlaneInto(g, dst, stride, plane, pnx, pi0, pj0, i0, j0, nx, ny, workers)
-}
-
-// ConvolvePlaneInto is the one body behind ConvolveNoiseInto and
-// ConvolveNoiseInto32, at precision F.
+// ConvolvePlaneInto renders the window like RenderInto at precision F
+// but reads field samples from the caller-supplied plane instead of
+// drawing its own. Sharing one plane across many windows (and across
+// same-seed generators, which see the same field) removes the
+// per-window Box–Muller cost at the price of the caller owning
+// coverage. The plane is float64 FillRow output at both precisions. The
+// engine is the one RenderInto picks for the window (EngineFor), and
+// the result is bit-identical to RenderInto's: the float64 direct
+// engine reads the plane in place, the float32 one narrows the
+// window's noise from it once per sample (exactly Field.FillRow32's
+// output), and the FFT engine copies the window's noise rows into its
+// padded workspace where it would otherwise fill them, so all see the
+// same noise values and do the same arithmetic.
 func ConvolvePlaneInto[F simd.Float](g *Generator, dst []F, stride int, plane []float64, pnx int, pi0, pj0, i0, j0 int64, nx, ny, workers int) {
 	v := g.planeArgs(len(dst), stride, plane, pnx, pi0, pj0, i0, j0, nx, ny)
 	render(g, dst, stride, i0, j0, nx, ny, workers, v)

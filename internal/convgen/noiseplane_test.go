@@ -31,7 +31,7 @@ func TestNoiseWindow(t *testing.T) {
 	}
 }
 
-// TestConvolveNoiseIntoBitIdentical pins the shared-plane contract for
+// TestConvolvePlaneIntoBitIdentical pins the shared-plane contract for
 // the direct engine at both precisions: rendering from a caller-owned
 // float64 plane that holds FillRow output produces the same bytes as
 // the self-contained direct engine — same taps, same noise values, same
@@ -40,7 +40,7 @@ func TestNoiseWindow(t *testing.T) {
 // FillRow32. The plane is deliberately larger than the window's own
 // noise rectangle (slack on every side) to exercise the offset
 // arithmetic.
-func TestConvolveNoiseIntoBitIdentical(t *testing.T) {
+func TestConvolvePlaneIntoBitIdentical(t *testing.T) {
 	k := MustDesign(spectrum.MustGaussian(2, 4, 3), 1, 1, 4, 1e-3)
 	const seed = 99
 	const nx, ny = 25, 18
@@ -58,7 +58,7 @@ func TestConvolveNoiseIntoBitIdentical(t *testing.T) {
 
 	want := gen.GenerateAt(i0, j0, nx, ny)
 	got := make([]float64, nx*ny)
-	gen.ConvolveNoiseInto(got, nx, plane, pnx, pi0, pj0, i0, j0, nx, ny, 1)
+	ConvolvePlaneInto(gen, got, nx, plane, pnx, pi0, pj0, i0, j0, nx, ny, 1)
 	for i, v := range got {
 		if !approx.Exact(v, want.Data[i]) {
 			t.Fatalf("f64 sample %d = %x, self-contained %x", i, v, want.Data[i])
@@ -67,7 +67,7 @@ func TestConvolveNoiseIntoBitIdentical(t *testing.T) {
 
 	want32 := gen.GenerateAt32(i0, j0, nx, ny)
 	got32 := make([]float32, nx*ny)
-	gen.ConvolveNoiseInto32(got32, nx, plane, pnx, pi0, pj0, i0, j0, nx, ny, 1)
+	ConvolvePlaneInto(gen, got32, nx, plane, pnx, pi0, pj0, i0, j0, nx, ny, 1)
 	for i, v := range got32 {
 		if math.Float32bits(v) != math.Float32bits(want32.Data[i]) {
 			t.Fatalf("f32 sample %d = %x, self-contained %x", i, v, want32.Data[i])
@@ -75,12 +75,12 @@ func TestConvolveNoiseIntoBitIdentical(t *testing.T) {
 	}
 }
 
-// TestConvolveNoiseIntoFFTBitIdentical: a window on the FFT engine
+// TestConvolvePlaneIntoFFTBitIdentical: a window on the FFT engine
 // reads its noise rows from the plane into the padded workspace, and
 // renders the self-contained FFT engine's bytes at both precisions, on
 // one worker and on several. The engine is forced so the test stays
 // small; inhomo's Figure 3 pin covers EngineAuto's FFT choice.
-func TestConvolveNoiseIntoFFTBitIdentical(t *testing.T) {
+func TestConvolvePlaneIntoFFTBitIdentical(t *testing.T) {
 	k := MustDesign(spectrum.MustGaussian(1, 12, 12), 1, 1, 4, 1e-3)
 	const seed = 5
 	const nx, ny = 70, 41
@@ -96,14 +96,14 @@ func TestConvolveNoiseIntoFFTBitIdentical(t *testing.T) {
 	want32 := gen.GenerateAt32(i0, j0, nx, ny)
 	for _, workers := range []int{1, 3} {
 		got := make([]float64, nx*ny)
-		gen.ConvolveNoiseInto(got, nx, plane, pnx, pi0, pj0, i0, j0, nx, ny, workers)
+		ConvolvePlaneInto(gen, got, nx, plane, pnx, pi0, pj0, i0, j0, nx, ny, workers)
 		for i, v := range got {
 			if !approx.Exact(v, want.Data[i]) {
 				t.Fatalf("workers=%d f64 sample %d = %x, self-contained %x", workers, i, v, want.Data[i])
 			}
 		}
 		got32 := make([]float32, nx*ny)
-		gen.ConvolveNoiseInto32(got32, nx, plane, pnx, pi0, pj0, i0, j0, nx, ny, workers)
+		ConvolvePlaneInto(gen, got32, nx, plane, pnx, pi0, pj0, i0, j0, nx, ny, workers)
 		for i, v := range got32 {
 			if math.Float32bits(v) != math.Float32bits(want32.Data[i]) {
 				t.Fatalf("workers=%d f32 sample %d = %x, self-contained %x", workers, i, v, want32.Data[i])
@@ -112,7 +112,7 @@ func TestConvolveNoiseIntoFFTBitIdentical(t *testing.T) {
 	}
 }
 
-func TestConvolveNoiseIntoPanics(t *testing.T) {
+func TestConvolvePlaneIntoPanics(t *testing.T) {
 	k := MustDesign(spectrum.MustGaussian(1, 3, 3), 1, 1, 4, 1e-3)
 	gen := NewGenerator(k, 1)
 	ni0, nj0, wnx, wny := k.NoiseWindow(0, 0, 8, 8)
@@ -122,19 +122,19 @@ func TestConvolveNoiseIntoPanics(t *testing.T) {
 		fn   func()
 	}{
 		{"empty window", func() {
-			gen.ConvolveNoiseInto(make([]float64, 64), 8, plane, wnx, ni0, nj0, 0, 0, 0, 8, 1)
+			ConvolvePlaneInto(gen, make([]float64, 64), 8, plane, wnx, ni0, nj0, 0, 0, 0, 8, 1)
 		}},
 		{"stride below width", func() {
-			gen.ConvolveNoiseInto(make([]float64, 64), 7, plane, wnx, ni0, nj0, 0, 0, 8, 8, 1)
+			ConvolvePlaneInto(gen, make([]float64, 64), 7, plane, wnx, ni0, nj0, 0, 0, 8, 8, 1)
 		}},
 		{"destination too short", func() {
-			gen.ConvolveNoiseInto(make([]float64, 63), 8, plane, wnx, ni0, nj0, 0, 0, 8, 8, 1)
+			ConvolvePlaneInto(gen, make([]float64, 63), 8, plane, wnx, ni0, nj0, 0, 0, 8, 8, 1)
 		}},
 		{"ragged plane", func() {
-			gen.ConvolveNoiseInto(make([]float64, 64), 8, plane[:len(plane)-1], wnx, ni0, nj0, 0, 0, 8, 8, 1)
+			ConvolvePlaneInto(gen, make([]float64, 64), 8, plane[:len(plane)-1], wnx, ni0, nj0, 0, 0, 8, 8, 1)
 		}},
 		{"plane misses window", func() {
-			gen.ConvolveNoiseInto(make([]float64, 64), 8, plane, wnx, ni0, nj0, -1, 0, 8, 8, 1)
+			ConvolvePlaneInto(gen, make([]float64, 64), 8, plane, wnx, ni0, nj0, -1, 0, 8, 8, 1)
 		}},
 	}
 	for _, c := range cases {

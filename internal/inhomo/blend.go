@@ -17,8 +17,8 @@
 // Because g_n does not depend on the kernel tap index, eqn (46) is
 // algebraically identical to blending M homogeneous surfaces generated
 // from the *same* noise field: f(n) = Σ_m g_n(m)·(w̃(m) ⊛ X)(n). The
-// fast generator path exploits this; the reference path evaluates
-// eqn (46) literally, and tests pin the two to each other.
+// generator exploits this; Reference evaluates eqn (46) literally, and
+// tests pin the two to each other.
 package inhomo
 
 import (
@@ -33,16 +33,12 @@ type Blender interface {
 	// BlendWeights fills w (length M) with the mixing weights of
 	// physical point (x, y). Weights are nonnegative and sum to 1.
 	BlendWeights(w []float64, x, y float64)
-}
-
-// SupportMasker is an optional Blender refinement that powers the
-// tile-sparse generation path: SupportMask reports, per component,
-// whether its blend weight may be nonzero anywhere in the axis-aligned
-// rectangle [x0,x1]×[y0,y1]. The contract is a conservative
-// over-approximation — false guarantees the weight is identically zero
-// throughout the rectangle; true carries no guarantee. All blenders in
-// this package implement it.
-type SupportMasker interface {
+	// SupportMask reports, per component, whether its blend weight may
+	// be nonzero anywhere in the axis-aligned rectangle [x0,x1]×[y0,y1].
+	// The contract is a conservative over-approximation — false
+	// guarantees the weight is identically zero throughout the
+	// rectangle; true carries no guarantee. The tiled render skips a
+	// component on every tile whose mask leaves it out.
 	SupportMask(x0, y0, x1, y1 float64) []bool
 }
 
@@ -252,7 +248,7 @@ func (b *PlateBlender) BlendWeights(w []float64, x, y float64) {
 	}
 }
 
-// SupportMask implements SupportMasker. Component m is marked active
+// SupportMask implements Blender. Component m is marked active
 // when region m's support bound allows a nonzero value somewhere in the
 // rectangle. One extra guard mirrors BlendWeights' coverage-gap
 // fallback: the pointwise weight sum is at least the sum of the
@@ -378,7 +374,7 @@ func (b *PointBlender) BlendWeights(w []float64, x, y float64) {
 	w[b.Points[best].Component] += 1 - others
 }
 
-// SupportMask implements SupportMasker. Representative point i can
+// SupportMask implements Blender. Representative point i can
 // carry weight at an observation point n only when τ(i) ≤ T, and
 // because the bisector separation obeys sep ≤ |n−p_i| + |n−p*|, eqn
 // (42) gives τ(i) ≥ (|n−p_i| − |n−p*|)/2 — so weight requires
@@ -420,34 +416,9 @@ func (b UniformBlender) BlendWeights(w []float64, x, y float64) {
 	w[b.Index] = 1
 }
 
-// SupportMask implements SupportMasker: only Index is ever active.
+// SupportMask implements Blender: only Index is ever active.
 func (b UniformBlender) SupportMask(x0, y0, x1, y1 float64) []bool {
 	mask := make([]bool, b.M)
 	mask[b.Index] = true
-	return mask
-}
-
-// sampleSupportMask approximates SupportMask for blenders outside this
-// package by evaluating BlendWeights on a coarse probe lattice of the
-// rectangle (corners included). Unlike the SupportMasker contract it is
-// NOT conservative — support confined between probes is missed — so the
-// tiled engine only resorts to it when EngineTiled is forced on a
-// blender that does not publish masks (EngineAuto takes the dense path
-// instead; see DESIGN.md §9).
-func sampleSupportMask(b Blender, x0, y0, x1, y1 float64) []bool {
-	const probes = 8
-	mask := make([]bool, b.NumComponents())
-	w := make([]float64, len(mask))
-	for jy := 0; jy <= probes; jy++ {
-		y := y0 + (y1-y0)*float64(jy)/probes
-		for ix := 0; ix <= probes; ix++ {
-			b.BlendWeights(w, x0+(x1-x0)*float64(ix)/probes, y)
-			for i, v := range w {
-				if v != 0 {
-					mask[i] = true
-				}
-			}
-		}
-	}
 	return mask
 }

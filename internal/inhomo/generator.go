@@ -13,26 +13,6 @@ import (
 	"roughsurface/internal/simd"
 )
 
-// Engine selects the inhomogeneous generation path.
-type Engine int
-
-const (
-	// EngineAuto uses the tile-sparse path when the blender publishes
-	// support masks and those masks vary across the window's tiles;
-	// otherwise it takes the dense blended-fields path restricted to
-	// the components the masks leave active (spatially uniform masks —
-	// e.g. UniformBlender — gain nothing from tiling, and a full-window
-	// convolution amortizes its FFT padding better than many tiles).
-	EngineAuto Engine = iota
-	// EngineDense forces the full-window blended-fields path: all M
-	// component surfaces over the whole window, mixed pointwise.
-	EngineDense
-	// EngineTiled forces the tile-sparse path. Blenders without
-	// SupportMask get sampled (non-conservative) masks; see DESIGN.md
-	// §9 before forcing this on a custom blender.
-	EngineTiled
-)
-
 // defaultTileSize is the tile edge in samples: 64² float64 = 32 KiB per
 // scratch buffer, small enough that a tile's working set (a few active
 // component fields plus the noise window) stays cache-resident.
@@ -53,21 +33,15 @@ type Generator struct {
 
 	// Workers bounds per-call parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Engine selects the generation path (default EngineAuto).
-	Engine Engine
-	// TileSize overrides the tile edge of the sparse path in samples
-	// (0 = the 64-sample default).
+	// TileSize overrides the tile edge in samples (0 = the 64-sample
+	// default).
 	TileSize int
-	// Reference forces the literal per-point evaluation of eqn (46)
-	// instead of the algebraically identical blended-fields paths.
-	// O(outputs × taps × M); intended for validation.
-	Reference bool
 
 	dx, dy float64
 
 	// arenas pools the per-tile scratch (active component fields and
-	// the weight vector) so the sparse path allocates nothing per tile
-	// in steady state beyond the returned grid. There is one pool per
+	// the weight vector), so the tile-sized buffers are reused across
+	// tiles and calls instead of allocated per tile. There is one pool per
 	// render precision ([0] float64, [1] float32; see arenaPool), so a
 	// mixed-precision serving workload does not thrash one set of
 	// allocations.
@@ -142,13 +116,13 @@ func (g *Generator) GenerateAt(i0, j0 int64, nx, ny int) *grid.Grid {
 // GenerateAtInto renders the window with lower lattice corner (i0, j0)
 // into the caller-owned grid; out.Nx×out.Ny fixes the window size and
 // the grid's spacing/origin metadata is overwritten to match. Reusing
-// one grid across calls makes steady-state generation allocation-free
-// on the tiled path (per-tile scratch is pooled).
+// one grid across calls saves the output allocation; the per-tile
+// scratch is pooled either way.
 func (g *Generator) GenerateAtInto(out *grid.Grid, i0, j0 int64) { generateAtInto(g, out, i0, j0) }
 
-// GenerateAt32 is GenerateAt at float32 render precision. Every engine
-// runs the same path selection and code as the float64 API, with the
-// component convolutions and the weight blend instantiated at float32;
+// GenerateAt32 is GenerateAt at float32 render precision. It runs the
+// same tiling and code as the float64 API, with the component
+// convolutions and the weight blend instantiated at float32;
 // agreement with the float64 engine is tolerance-gated in
 // precision_test.go. The serving daemon uses this path for f32 tiles.
 func (g *Generator) GenerateAt32(i0, j0 int64, nx, ny int) *grid.Grid32 {
@@ -179,37 +153,31 @@ func generateAtInto[F simd.Float](g *Generator, out *grid.Of[F], i0, j0 int64) {
 
 // RenderInto is the one body behind GenerateAtInto and GenerateAtInto32:
 // it renders the nx×ny window with lower lattice corner (i0, j0) at
-// precision F into dst, row-major at stride nx. Engine selection,
-// tiling, the shared noise plane, and the blend are the same code at
+// precision F into dst, row-major at stride nx. The window is cut into
+// tiles, each tile gets the blender's support mask, and generateTiled
+// renders them. When every tile shares one mask (a spatially uniform
+// blend, or a window that fits one tile) tiling gains nothing, so the
+// window renders as one window-sized tile with the workers inside it;
+// if that mask leaves one component, the window is that component's
+// homogeneous surface, rendered self-contained without a noise plane.
+// The tiling, the shared noise plane and the blend are the same code at
 // both precisions.
 func RenderInto[F simd.Float](g *Generator, dst []F, nx, ny int, i0, j0 int64) {
 	if nx < 1 || ny < 1 || len(dst) < nx*ny {
 		panic(fmt.Sprintf("inhomo: window %dx%d does not fit %d samples", nx, ny, len(dst)))
 	}
-	if g.Reference {
-		generateReference(g, dst, nx, ny, i0, j0)
-		return
-	}
-	switch g.Engine {
-	case EngineDense:
-		generateDense(g, dst, nx, ny, i0, j0, nil)
-		return
-	case EngineTiled:
-		tiles := grid.Tiling(nx, ny, g.tileSize(), g.tileSize())
-		generateTiled(g, dst, nx, ny, i0, j0, tiles, g.tileMasks(tiles, i0, j0))
-		return
-	}
-	if _, ok := g.blender.(SupportMasker); !ok {
-		generateDense(g, dst, nx, ny, i0, j0, nil)
-		return
-	}
 	tiles := grid.Tiling(nx, ny, g.tileSize(), g.tileSize())
 	masks := g.tileMasks(tiles, i0, j0)
-	if shared := sharedMask(masks); shared != nil {
-		generateDense(g, dst, nx, ny, i0, j0, shared)
+	shared := sharedMask(masks)
+	if shared == nil {
+		generateTiled(g, dst, nx, ny, i0, j0, tiles, masks, 1)
 		return
 	}
-	generateTiled(g, dst, nx, ny, i0, j0, tiles, masks)
+	if m := slices.Index(shared, true); m >= 0 && !slices.Contains(shared[m+1:], true) {
+		convgen.RenderInto(g.convs[m], dst, nx, i0, j0, nx, ny, g.Workers)
+		return
+	}
+	generateTiled(g, dst, nx, ny, i0, j0, []grid.Tile{{Nx: nx, Ny: ny}}, [][]bool{shared}, g.Workers)
 }
 
 // GenerateCentered materializes an nx×ny window centered on the lattice
@@ -232,7 +200,6 @@ func (g *Generator) tileSize() int {
 // corners come from blendRows' coordinate expression, so no sample the
 // blend evaluates lies an ulp outside the queried rectangle.
 func (g *Generator) tileMasks(tiles []grid.Tile, i0, j0 int64) [][]bool {
-	sm, _ := g.blender.(SupportMasker)
 	masks := make([][]bool, len(tiles))
 	slab := make([]bool, len(tiles)*len(g.kernels))
 	for t, tile := range tiles {
@@ -240,20 +207,14 @@ func (g *Generator) tileMasks(tiles []grid.Tile, i0, j0 int64) [][]bool {
 		x0, y0 := float64(ti0)*g.dx, float64(tj0)*g.dy
 		x1 := float64(ti0+int64(tile.Nx-1)) * g.dx
 		y1 := float64(tj0+int64(tile.Ny-1)) * g.dy
-		var qm []bool
-		if sm != nil {
-			qm = sm.SupportMask(x0, y0, x1, y1)
-		} else {
-			qm = sampleSupportMask(g.blender, x0, y0, x1, y1)
-		}
 		masks[t] = slab[t*len(g.kernels) : (t+1)*len(g.kernels)]
-		copy(masks[t], qm)
+		copy(masks[t], g.blender.SupportMask(x0, y0, x1, y1))
 	}
 	return masks
 }
 
 // sharedMask returns the single mask all tiles agree on, or nil when
-// the masks vary — the sparsity signal EngineAuto keys on.
+// the masks vary — the sparsity signal RenderInto keys on.
 func sharedMask(masks [][]bool) []bool {
 	first := masks[0]
 	for _, m := range masks[1:] {
@@ -340,13 +301,15 @@ func renderPlane[F simd.Float](g *Generator, p *noisePlane, m int, dst []F, stri
 // of M × window area. Tiles are scheduled through par.Dynamic because
 // their costs are heterogeneous — a seam tile with three active
 // components costs several times an interior tile — and static chunking
-// would idle workers behind the expensive ones.
+// would idle workers behind the expensive ones. Each tile renders with
+// the given number of workers: 1 when there are many tiles to spread
+// over g.Workers, g.Workers for a window of one tile.
 //
 // The tiles run in bands of whole tile rows, and the noise plane slides
 // from band to band (DESIGN.md §9). A band is the fewest tile rows whose
 // nominal height covers the plane's halo, so at most a band plus its
 // halo is resident and each band refills at least half the plane.
-func generateTiled[F simd.Float](g *Generator, dst []F, nx, ny int, i0, j0 int64, tiles []grid.Tile, masks [][]bool) {
+func generateTiled[F simd.Float](g *Generator, dst []F, nx, ny int, i0, j0 int64, tiles []grid.Tile, masks [][]bool, workers int) {
 	anywhere := make([]bool, len(g.kernels))
 	for _, mask := range masks {
 		if !slices.Contains(mask, true) {
@@ -377,15 +340,14 @@ func generateTiled[F simd.Float](g *Generator, dst []F, nx, ny int, i0, j0 int64
 		y0, y1 := tiles[lo].Y0, tiles[hi-1].Y0+tiles[hi-1].Ny
 		plane.cover(g, j0, y0, y1)
 		par.Dynamic(hi-lo, g.Workers, func(t int) {
-			renderTile(g, dst, nx, i0, j0, tiles[lo+t], masks[lo+t], plane)
+			renderTile(g, dst, nx, i0, j0, tiles[lo+t], masks[lo+t], plane, workers)
 		})
 	}
 }
 
-// renderTile materializes one tile of the window in place; the window
-// is dst at row stride nx. The tile is the unit of parallelism, so the
-// per-component generation below runs single-worker.
-func renderTile[F simd.Float](g *Generator, dst []F, nx int, i0, j0 int64, t grid.Tile, mask []bool, plane *noisePlane) {
+// renderTile materializes one tile of the window in place with the
+// given number of workers; the window is dst at row stride nx.
+func renderTile[F simd.Float](g *Generator, dst []F, nx int, i0, j0 int64, t grid.Tile, mask []bool, plane *noisePlane, workers int) {
 	pool := arenaPool[F](g)
 	ar := pool.Get().(*tileArena[F])
 	defer pool.Put(ar)
@@ -403,7 +365,7 @@ func renderTile[F simd.Float](g *Generator, dst []F, nx int, i0, j0 int64, t gri
 		// Sole active component ⇒ its weight is identically 1 on the
 		// tile (weights sum to 1 and the rest are provably zero):
 		// generate straight into the output rows, no blend pass.
-		renderPlane(g, plane, active[0], dst[base:], nx, ti0, tj0, t.Nx, t.Ny, 1)
+		renderPlane(g, plane, active[0], dst[base:], nx, ti0, tj0, t.Nx, t.Ny, workers)
 		return
 	}
 
@@ -414,17 +376,23 @@ func renderTile[F simd.Float](g *Generator, dst []F, nx int, i0, j0 int64, t gri
 	fields := ar.fields[:len(active)]
 	for s, m := range active {
 		fields[s] = grow(fields[s], n)
-		renderPlane(g, plane, m, fields[s], t.Nx, ti0, tj0, t.Nx, t.Ny, 1)
+		renderPlane(g, plane, m, fields[s], t.Nx, ti0, tj0, t.Nx, t.Ny, workers)
 	}
 	ar.fields = fields[:cap(fields)]
-	w := grow(ar.w, len(mask))
-	ar.w = w
-	blendRows(g.blender, dst[base:], nx, t.Nx, fields, active, 0, t.Ny, ti0, tj0, g.dx, g.dy, w)
+	if workers == 1 {
+		ar.w = grow(ar.w, len(mask))
+		blendRows(g.blender, dst[base:], nx, t.Nx, fields, active, 0, t.Ny, ti0, tj0, g.dx, g.dy, ar.w)
+		return
+	}
+	par.For(t.Ny, workers, func(lo, hi int) {
+		w := make([]float64, len(mask))
+		blendRows(g.blender, dst[base:], nx, t.Nx, fields, active, lo, hi, ti0, tj0, g.dx, g.dy, w)
+	})
 }
 
-// blendRows is the precision-generic weight-blend inner loop shared by
-// the tiled and dense engines: over rows [jlo, jhi) it queries the
-// blender once per sample and accumulates Σ_s w[active[s]]·fields[s].
+// blendRows is the precision-generic weight-blend inner loop of a
+// tile: over rows [jlo, jhi) it queries the blender once per sample and
+// accumulates Σ_s w[active[s]]·fields[s].
 // dst row j spans dst[j*dstStride : j*dstStride+nx]; fields are packed
 // at row stride nx with lattice origin (i0, j0). The float64
 // instantiation performs exactly the arithmetic of the pre-generic
@@ -449,49 +417,12 @@ func blendRows[F simd.Float](b Blender, dst []F, dstStride, nx int, fields [][]F
 	}
 }
 
-// generateDense produces each component's homogeneous surface from the
-// shared noise field over the whole window and mixes them pointwise:
-// f = Σ_m g_n(m)·F_m(n), eqn (46) after exchanging the two sums. A
-// non-nil window-wide support mask restricts it to the components the
-// mask leaves active: the others carry zero weight everywhere, so
-// skipping their fields is exact. With a single active component the
-// window is that component's homogeneous surface, rendered
-// self-contained with no blend sweep.
-func generateDense[F simd.Float](g *Generator, dst []F, nx, ny int, i0, j0 int64, active []bool) {
-	if active == nil {
-		active = make([]bool, len(g.kernels))
-		for m := range active {
-			active[m] = true
-		}
-	}
-	var act []int
-	for m, on := range active {
-		if on {
-			act = append(act, m)
-		}
-	}
-	if len(act) == 1 {
-		convgen.RenderInto(g.convs[act[0]], dst, nx, i0, j0, nx, ny, g.Workers)
-		return
-	}
-	plane := newNoisePlane(g, i0, nx, active)
-	plane.cover(g, j0, 0, ny)
-	fields := make([][]F, len(act))
-	for s, m := range act {
-		fields[s] = make([]F, nx*ny)
-		renderPlane(g, plane, m, fields[s], nx, i0, j0, nx, ny, g.Workers)
-	}
-	par.For(ny, g.Workers, func(lo, hi int) {
-		w := make([]float64, len(g.kernels))
-		blendRows(g.blender, dst, nx, nx, fields, act, lo, hi, i0, j0, g.dx, g.dy, w)
-	})
-}
-
-// generateReference evaluates eqn (46) literally: at every output point
-// the blended kernel Σ_m g·w̃(m) is applied to the noise window. The
-// sum runs in float64 at both precisions — the evaluator exists to
-// validate the fast paths — and is converted to F once per sample.
-func generateReference[F simd.Float](g *Generator, dst []F, nx, ny int, i0, j0 int64) {
+// Reference evaluates eqn (46) literally into dst, like RenderInto: at
+// every output point the blended kernel Σ_m g·w̃(m) is applied to the
+// noise window. It costs O(outputs × taps × M) and exists to validate
+// RenderInto, which exchanges the two sums. The sum runs in float64 at
+// both precisions and is converted to F once per sample.
+func Reference[F simd.Float](g *Generator, dst []F, nx, ny int, i0, j0 int64) {
 	field := rng.NewField(g.seed)
 	par.For(ny, g.Workers, func(lo, hi int) {
 		w := make([]float64, len(g.kernels))

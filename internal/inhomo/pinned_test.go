@@ -13,6 +13,7 @@ import (
 	"roughsurface/internal/figures"
 	"roughsurface/internal/grid"
 	"roughsurface/internal/inhomo"
+	"roughsurface/internal/spectrum"
 )
 
 // fixturePlate is the service tests' plate scene: a half-plane and a
@@ -55,8 +56,7 @@ func checkPinned(t *testing.T, got, want string) {
 // seams on amd64. Its tiles mix direct components (cl = 40, 60) with
 // the FFT-engine cl = 80 component, and its outer tiles sit past the
 // transition bands, so mask and transform changes both show here. Its
-// tile masks vary, so EngineAuto renders it tiled; the test checks
-// that first.
+// tile masks vary, so it renders tiled; the test checks that first.
 func TestTiledPlatePinnedBytes(t *testing.T) {
 	c := components(t, figures.Figure1(figures.Size, 1).Scene)
 	engines := map[convgen.Engine]bool{}
@@ -149,7 +149,8 @@ const fixturePoint = `{"nx":64,"ny":64,"method":"point","transition_t":10,"point
 // and point fixtures on amd64, the cold-mixed tile shapes whose
 // components are all direct at the window size and so read the shared
 // noise plane: the plate window crosses the seam and renders tiled,
-// the point window has uniform masks and renders dense.
+// the point window has uniform masks and renders as one window-sized
+// tile.
 func TestFixtureWindow64PinnedBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -232,10 +233,9 @@ func TestFFTSoleTile32MatchesHomogeneous(t *testing.T) {
 }
 
 // TestFigure3Window512PinnedBytes pins a 512² Figure 3 window at
-// (−256, −256) at both precisions on amd64, rendered through
-// EngineAuto. Its tile masks vary, so it renders tiled, and its tiles
-// mix the 251² pond component (FFT on a 64² tile) with the 97² ground
-// component (direct). The window is eight tile rows tall, taller than
+// (−256, −256) at both precisions on amd64. Its tile masks vary, so it
+// renders tiled, and its tiles mix the 251² pond component (FFT on a
+// 64² tile) with the 97² ground component (direct). The window is eight tile rows tall, taller than
 // the largest component's halo, so a band schedule over the noise plane
 // must slide at least once to cover it.
 func TestFigure3Window512PinnedBytes(t *testing.T) {
@@ -266,4 +266,78 @@ func TestFigure3Window512PinnedBytes(t *testing.T) {
 		checkPinned(t, sha(t, gen.GenerateAt32(i0, j0, n, n).Data),
 			"b5283f238317d24aa4f8ea3c8ec28f0bddb85bb3a08dd35e85301a28122cf38f")
 	})
+}
+
+// TestSharedMaskWindowPinnedBytes pins windows whose default tiles all
+// share one mask, at both precisions on amd64, so they render as one
+// window-sized tile. The point blender's transition spans the window,
+// so both components carry weight on every sample and the window
+// blends; the uniform blender leaves one component active, which
+// renders self-contained. The FFT set's kernels pick the FFT engine at
+// the window size but the direct engine at the default tile size, so
+// these bytes show whether the window ran as one tile.
+func TestSharedMaskWindowPinnedBytes(t *testing.T) {
+	const i0, j0, nx, ny = -64, -48, 128, 96
+	design := func(s spectrum.Spectrum) *convgen.Kernel { return convgen.MustDesign(s, 1, 1, 6, 1e-3) }
+	direct := []*convgen.Kernel{
+		design(spectrum.MustGaussian(1, 8, 8)),
+		design(spectrum.MustExponential(2, 5, 5)),
+	}
+	fft := []*convgen.Kernel{
+		design(spectrum.MustExponential(1, 20, 20)),
+		design(spectrum.MustExponential(2, 25, 25)),
+	}
+	wide, err := inhomo.NewPointBlender([]inhomo.Point{{X: -20, Component: 0}, {X: 20, Component: 1}}, 400, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name           string
+		kernels        []*convgen.Kernel
+		engine         convgen.Engine
+		blender        inhomo.Blender
+		active         int
+		want64, want32 string
+	}{
+		{"direct-blend", direct, convgen.EngineDirect, wide, 2,
+			"860c2b257362b1afb067c14817f09e34f47fa19af675da4b5b15ba5ee1f27e4d",
+			"be5903b18069aa1947f283d85b7a57fb306444b8d2d03ec42dc53375ea108f32"},
+		{"fft-blend", fft, convgen.EngineFFT, wide, 2,
+			"bdc92d5172fb0039e16ad3adaede941bdf5e7fe22bbcce44338650da0b6f5675",
+			"a66946715c9a6c1d8f2b6e6b9d4da5ea23118e2af394358ab03b08f3c55300f2"},
+		{"uniform", direct, convgen.EngineDirect, inhomo.UniformBlender{M: 2, Index: 1}, 1,
+			"b548b0db2c51c2450352c70dccc553db97630d8b8b0d2fd23935f9890da0f4cf",
+			"967fde9870010eac565fa169a5175266e95ce174858f553b06132c464ad9c6e3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for m, k := range tc.kernels {
+				if e := convgen.NewGenerator(k, 1).EngineFor(nx, ny); e != tc.engine {
+					t.Fatalf("component %d engine %v at %dx%d, want %v", m, e, nx, ny, tc.engine)
+				}
+				if e := convgen.NewGenerator(k, 1).EngineFor(64, 64); e != convgen.EngineDirect {
+					t.Fatalf("component %d engine %v at 64², want direct", m, e)
+				}
+			}
+			gen := inhomo.MustGenerator(tc.kernels, tc.blender, 5)
+			masks := inhomo.TileMasks(gen, i0, j0, nx, ny)
+			if len(masks) < 2 || !masksUniform(masks) {
+				t.Fatalf("%d tile masks, uniform %v; want several sharing one", len(masks), masksUniform(masks))
+			}
+			active := 0
+			for _, on := range masks[0] {
+				if on {
+					active++
+				}
+			}
+			if active != tc.active {
+				t.Fatalf("%d active components, want %d", active, tc.active)
+			}
+			t.Run("f64", func(t *testing.T) {
+				checkPinned(t, sha(t, gen.GenerateAt(i0, j0, nx, ny).Data), tc.want64)
+			})
+			t.Run("f32", func(t *testing.T) {
+				checkPinned(t, sha(t, gen.GenerateAt32(i0, j0, nx, ny).Data), tc.want32)
+			})
+		})
+	}
 }

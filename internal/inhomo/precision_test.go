@@ -16,31 +16,30 @@ import (
 // rounding noise.
 const f32BlendTol = 1e-4 * 2.0
 
-// TestInhomoGenerate32AgreesWithF64 drives every engine and blender
-// kind through the f32 path and checks per-sample agreement with the
-// float64 engine of the same configuration.
+// TestInhomoGenerate32AgreesWithF64 drives every blender kind through
+// the f32 path, tiled and as one window-sized tile, and checks
+// per-sample agreement with the float64 render of the same
+// configuration.
 func TestInhomoGenerate32AgreesWithF64(t *testing.T) {
 	ks := threeKernels(t)
 	for name, blender := range tiledBlenders(t) {
 		t.Run(name, func(t *testing.T) {
-			for _, engine := range []Engine{EngineAuto, EngineDense, EngineTiled} {
+			for _, ts := range []int{16, oneTile} {
 				g64 := MustGenerator(ks, blender, 42)
-				g64.Engine = engine
-				g64.TileSize = 16
+				g64.TileSize = ts
 				g32 := MustGenerator(ks, blender, 42)
-				g32.Engine = engine
-				g32.TileSize = 16
+				g32.TileSize = ts
 				const nx, ny = 48, 40
 				want := g64.GenerateAt(-24, -20, nx, ny)
 				got := g32.GenerateAt32(-24, -20, nx, ny)
 				if !approx.Exact(got.Dx, want.Dx) || !approx.Exact(got.X0, want.X0) ||
 					!approx.Exact(got.Y0, want.Y0) {
-					t.Fatalf("engine %v: metadata mismatch: %+v", engine, got)
+					t.Fatalf("tile %d: metadata mismatch: %+v", ts, got)
 				}
 				for i, v := range got.Data {
 					if d := math.Abs(float64(v) - want.Data[i]); d > f32BlendTol {
-						t.Fatalf("engine %v: sample %d f32=%g f64=%g (|Δ|=%.3g > %.3g)",
-							engine, i, v, want.Data[i], d, f32BlendTol)
+						t.Fatalf("tile %d: sample %d f32=%g f64=%g (|Δ|=%.3g > %.3g)",
+							ts, i, v, want.Data[i], d, f32BlendTol)
 					}
 				}
 			}
@@ -49,17 +48,16 @@ func TestInhomoGenerate32AgreesWithF64(t *testing.T) {
 }
 
 // TestInhomoReference32 pins the f32 view of the literal eqn (46)
-// evaluator to the f64 reference rounded once per sample — the
-// Reference path narrows rather than re-deriving, so agreement is
-// exact.
+// evaluator to the f64 reference rounded once per sample — Reference
+// narrows rather than re-deriving, so agreement is exact.
 func TestInhomoReference32(t *testing.T) {
 	ks := threeKernels(t)
 	blender := tiledBlenders(t)["plate"]
 	ref := MustGenerator(ks, blender, 7)
-	ref.Reference = true
-	want := ref.GenerateAt(-6, -5, 12, 10)
-	got := ref.GenerateAt32(-6, -5, 12, 10)
-	for i, v := range got.Data {
+	want := reference(ref, -6, -5, 12, 10)
+	got := make([]float32, 12*10)
+	Reference(ref, got, 12, 10, -6, -5)
+	for i, v := range got {
 		if !approx.Exact(float64(v), float64(float32(want.Data[i]))) {
 			t.Fatalf("sample %d = %g, want narrow(%g)", i, v, want.Data[i])
 		}
@@ -72,7 +70,6 @@ func TestInhomoReference32(t *testing.T) {
 func TestGenerateAtInto32Reuse(t *testing.T) {
 	ks := threeKernels(t)
 	g := MustGenerator(ks, tiledBlenders(t)["plate-circle"], 9)
-	g.Engine = EngineTiled
 	g.TileSize = 16
 	out := grid.New32(40, 32)
 	for _, origin := range []struct{ i0, j0 int64 }{{-20, -16}, {5, 9}, {-20, -16}} {

@@ -3,8 +3,6 @@ package inhomo
 import (
 	"fmt"
 	"math"
-
-	"roughsurface/internal/grid"
 )
 
 // Sector is an annular sector region: radii in [R0, R1] and angle in
@@ -130,34 +128,3 @@ func (p Polygon) signedDistance(x, y float64) float64 {
 	}
 	return d
 }
-
-// Streamer generates an unbounded-in-y inhomogeneous surface as
-// successive strips, the inhomogeneous analogue of convgen.Streamer.
-// Blend weights are functions of absolute position and the noise of
-// absolute lattice index, so strips join seamlessly.
-type Streamer struct {
-	gen     *Generator
-	i0      int64
-	nx      int
-	stripNy int
-	nextJ   int64
-}
-
-// NewStreamer starts a streamer over columns [i0, i0+nx) beginning at
-// lattice row j0, producing strips of stripNy rows per Next call.
-func NewStreamer(gen *Generator, i0, j0 int64, nx, stripNy int) *Streamer {
-	if nx < 1 || stripNy < 1 {
-		panic(fmt.Sprintf("inhomo: invalid streamer geometry nx=%d stripNy=%d", nx, stripNy))
-	}
-	return &Streamer{gen: gen, i0: i0, nx: nx, stripNy: stripNy, nextJ: j0}
-}
-
-// Next returns the next strip and advances.
-func (s *Streamer) Next() *grid.Grid {
-	strip := s.gen.GenerateAt(s.i0, s.nextJ, s.nx, s.stripNy)
-	s.nextJ += int64(s.stripNy)
-	return strip
-}
-
-// NextRow reports the lattice row the next strip will start at.
-func (s *Streamer) NextRow() int64 { return s.nextJ }

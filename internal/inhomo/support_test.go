@@ -158,42 +158,6 @@ func TestSupportRangeBoundsSampled(t *testing.T) {
 	}
 }
 
-// maskless wraps a blender and hides its SupportMask, standing in for a
-// user-defined blender outside this package.
-type maskless struct{ inner Blender }
-
-func (m maskless) NumComponents() int                     { return m.inner.NumComponents() }
-func (m maskless) BlendWeights(w []float64, x, y float64) { m.inner.BlendWeights(w, x, y) }
-
-// TestSampleSupportMaskFindsSampledSupport: the generic fallback must
-// flag every component whose weight is nonzero at some probe point, and
-// the tiled engine forced onto a maskless blender must still agree with
-// the dense path when the blend geometry is coarse relative to a tile.
-func TestSampleSupportMaskFindsSampledSupport(t *testing.T) {
-	inner := UniformBlender{M: 3, Index: 2}
-	mask := sampleSupportMask(maskless{inner}, -10, -10, 10, 10)
-	if !mask[2] || mask[0] || mask[1] {
-		t.Errorf("sampled mask = %v, want only component 2", mask)
-	}
-
-	ks := threeKernels(t)
-	blender := maskless{mustPlateBlender(t, []Region{
-		Rect{X0: math.Inf(-1), Y0: math.Inf(-1), X1: 0, Y1: math.Inf(1), T: 6},
-		Rect{X0: 0, Y0: math.Inf(-1), X1: math.Inf(1), Y1: math.Inf(1), T: 6},
-		Circle{CX: 0, CY: 40, R: 12, T: 4},
-	})}
-	tiled := MustGenerator(ks, blender, 4)
-	tiled.Engine = EngineTiled
-	tiled.TileSize = 16
-	dense := MustGenerator(ks, blender, 4)
-	dense.Engine = EngineDense
-	a := tiled.GenerateAt(-24, -24, 48, 48)
-	b := dense.GenerateAt(-24, -24, 48, 48)
-	if d := a.MaxAbsDiff(b); d > 1e-12 {
-		t.Errorf("tiled-with-sampled-masks deviates from dense by %g", d)
-	}
-}
-
 // recordingMasker wraps a PlateBlender and records every SupportMask
 // rectangle and every BlendWeights sample point it is asked for.
 type recordingMasker struct {
@@ -245,7 +209,6 @@ func TestTileMasksCoverBlendSamples(t *testing.T) {
 			Rect{X0: 0, Y0: -inf, X1: inf, Y1: inf, T: 0.5},
 		})}
 		gen := MustGenerator(ks, rec, 3)
-		gen.Engine = EngineTiled
 		gen.TileSize = 16
 		if f32 {
 			gen.GenerateAt32(-32, -32, 64, 64)

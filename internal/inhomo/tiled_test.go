@@ -2,6 +2,7 @@ package inhomo
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"roughsurface/internal/approx"
@@ -51,10 +52,23 @@ func tiledBlenders(t *testing.T) map[string]Blender {
 	}
 }
 
-// TestTiledMatchesDense pins the sparse tiled engine to the dense
-// blended-fields path across all blender kinds and window offsets. On
-// the direct engine both paths evaluate identical tap sums and blend
-// algebra, so agreement is to round-off — far inside the 1e-12 budget.
+// oneTile is a tile edge no test window reaches: every window renders
+// as one window-sized tile, the path a window whose tiles share one
+// mask takes.
+const oneTile = 1 << 10
+
+// reference renders the nx×ny window at (i0, j0) through the literal
+// eqn (46) evaluator.
+func reference(g *Generator, i0, j0 int64, nx, ny int) *grid.Grid {
+	out := grid.New(nx, ny)
+	Reference(g, out.Data, nx, ny, i0, j0)
+	return out
+}
+
+// TestTiledMatchesDense pins the sparse tiled engine to one
+// window-sized tile across all blender kinds and window offsets. On the
+// direct engine both evaluate identical tap sums and blend arithmetic,
+// so the bytes agree exactly.
 func TestTiledMatchesDense(t *testing.T) {
 	ks := threeKernels(t)
 	offsets := []struct {
@@ -69,15 +83,14 @@ func TestTiledMatchesDense(t *testing.T) {
 	for name, blender := range tiledBlenders(t) {
 		t.Run(name, func(t *testing.T) {
 			dense := MustGenerator(ks, blender, 42)
-			dense.Engine = EngineDense
+			dense.TileSize = oneTile
 			tiled := MustGenerator(ks, blender, 42)
-			tiled.Engine = EngineTiled
 			tiled.TileSize = 16
 			for _, c := range offsets {
 				a := dense.GenerateAt(c.i0, c.j0, c.nx, c.ny)
 				b := tiled.GenerateAt(c.i0, c.j0, c.nx, c.ny)
-				if d := a.MaxAbsDiff(b); d > 1e-12 {
-					t.Errorf("window (%d,%d,%dx%d): tiled deviates from dense by %g",
+				if d := a.MaxAbsDiff(b); d != 0 {
+					t.Errorf("window (%d,%d,%dx%d): tiled deviates from one tile by %g",
 						c.i0, c.j0, c.nx, c.ny, d)
 				}
 			}
@@ -89,15 +102,19 @@ func TestTiledMatchesDense(t *testing.T) {
 // eqn (46) evaluation on a small window.
 func TestTiledMatchesReference(t *testing.T) {
 	ks := threeKernels(t)
-	for name, blender := range tiledBlenders(t) {
+	blenders := tiledBlenders(t)
+	names := make([]string, 0, len(blenders))
+	for name := range blenders {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		blender := blenders[name]
 		t.Run(name, func(t *testing.T) {
 			tiled := MustGenerator(ks, blender, 7)
-			tiled.Engine = EngineTiled
 			tiled.TileSize = 8
-			ref := MustGenerator(ks, blender, 7)
-			ref.Reference = true
 			a := tiled.GenerateAt(-12, -10, 24, 20)
-			b := ref.GenerateAt(-12, -10, 24, 20)
+			b := reference(tiled, -12, -10, 24, 20)
 			if d := a.MaxAbsDiff(b); d > 1e-9 {
 				t.Errorf("tiled deviates from literal eqn (46) by %g", d)
 			}
@@ -105,8 +122,9 @@ func TestTiledMatchesReference(t *testing.T) {
 	}
 }
 
-// TestAutoMatchesDense: whatever path EngineAuto dispatches to, the
-// output must match the dense reference.
+// TestAutoMatchesDense: whichever tiling RenderInto settles on for a
+// window (varying masks, or one shared mask), the bytes match one
+// window-sized tile exactly.
 func TestAutoMatchesDense(t *testing.T) {
 	ks := threeKernels(t)
 	for name, blender := range tiledBlenders(t) {
@@ -114,19 +132,19 @@ func TestAutoMatchesDense(t *testing.T) {
 			auto := MustGenerator(ks, blender, 15)
 			auto.TileSize = 16
 			dense := MustGenerator(ks, blender, 15)
-			dense.Engine = EngineDense
+			dense.TileSize = oneTile
 			a := auto.GenerateAt(-20, -16, 44, 36)
 			b := dense.GenerateAt(-20, -16, 44, 36)
-			if d := a.MaxAbsDiff(b); d > 1e-12 {
-				t.Errorf("auto deviates from dense by %g", d)
+			if d := a.MaxAbsDiff(b); d != 0 {
+				t.Errorf("auto deviates from one tile by %g", d)
 			}
 		})
 	}
 }
 
 // TestSharedMaskDetectsUniformity: a uniform blender yields identical
-// tile masks (the EngineAuto dense-fallback signal); a seam-crossing
-// plate scene does not.
+// tile masks (the signal to render one window-sized tile); a
+// seam-crossing plate scene does not.
 func TestSharedMaskDetectsUniformity(t *testing.T) {
 	ks := threeKernels(t)
 	tiles := grid.Tiling(48, 48, 16, 16)
@@ -152,7 +170,7 @@ func TestSharedMaskDetectsUniformity(t *testing.T) {
 }
 
 // TestTiledSeamlessAcrossWindows: adjacent tiled windows agree on their
-// overlap, like the dense path.
+// overlap.
 func TestTiledSeamlessAcrossWindows(t *testing.T) {
 	ks := threeKernels(t)
 	blender := mustPointBlender(t, []Point{
@@ -161,7 +179,6 @@ func TestTiledSeamlessAcrossWindows(t *testing.T) {
 		{X: 0, Y: 30, Component: 2},
 	}, 10, 3)
 	gen := MustGenerator(ks, blender, 9)
-	gen.Engine = EngineTiled
 	gen.TileSize = 16
 	a := gen.GenerateAt(-32, -32, 64, 64)
 	b := gen.GenerateAt(0, -32, 64, 64)
@@ -176,24 +193,23 @@ func TestTiledSeamlessAcrossWindows(t *testing.T) {
 
 // TestGenerateAtIntoReuse: rendering into a reused caller-owned grid
 // must match the allocating API sample-for-sample and refresh the
-// window metadata, on every engine.
+// window metadata, both tiled and as one window-sized tile.
 func TestGenerateAtIntoReuse(t *testing.T) {
 	ks := threeKernels(t)
 	blender := tiledBlenders(t)["plate"]
-	for _, engine := range []Engine{EngineAuto, EngineDense, EngineTiled} {
+	for _, ts := range []int{16, oneTile} {
 		gen := MustGenerator(ks, blender, 5)
-		gen.Engine = engine
-		gen.TileSize = 16
+		gen.TileSize = ts
 		dst := grid.New(40, 36)
 		for _, i0 := range []int64{-20, 4} {
 			want := gen.GenerateAt(i0, -18, 40, 36)
 			gen.GenerateAtInto(dst, i0, -18)
 			if d := want.MaxAbsDiff(dst); d > 0 {
-				t.Errorf("engine %v i0=%d: into deviates from allocating API by %g", engine, i0, d)
+				t.Errorf("tile %d i0=%d: into deviates from allocating API by %g", ts, i0, d)
 			}
 			if !approx.Exact(dst.X0, want.X0) || !approx.Exact(dst.Y0, want.Y0) ||
 				!approx.Exact(dst.Dx, want.Dx) || !approx.Exact(dst.Dy, want.Dy) {
-				t.Errorf("engine %v i0=%d: metadata not refreshed", engine, i0)
+				t.Errorf("tile %d i0=%d: metadata not refreshed", ts, i0)
 			}
 		}
 	}
@@ -227,14 +243,32 @@ func TestWeightMapWorkerInvariance(t *testing.T) {
 // the old fast path carried: it mutated the shared Workers field of the
 // per-component convolution generators, so two concurrent GenerateAt
 // calls on one Generator raced. Run under -race (scripts/check.sh
-// does), all engines, and check every goroutine sees identical output.
+// does), tiled and as one window-sized tile, and check every goroutine
+// sees identical output. The point scene's transition spans the window,
+// so its 16-sample tiles share one mask with every component active and
+// the window blends as one tile with both workers inside it.
 func TestConcurrentGenerateAt(t *testing.T) {
 	ks := threeKernels(t)
-	blender := tiledBlenders(t)["plate"]
-	for _, engine := range []Engine{EngineAuto, EngineDense, EngineTiled} {
-		gen := MustGenerator(ks, blender, 77)
-		gen.Engine = engine
-		gen.TileSize = 16
+	wide := mustPointBlender(t, []Point{
+		{X: -18, Y: -4, Component: 0},
+		{X: 16, Y: 6, Component: 1},
+		{X: 2, Y: 22, Component: 2},
+	}, 200, 3)
+	shared := sharedMask(MustGenerator(ks, wide, 77).tileMasks(grid.Tiling(40, 36, 16, 16), -16, -16))
+	if shared == nil || slices.Contains(shared, false) {
+		t.Fatalf("point scene mask %v, want one shared mask with every component active", shared)
+	}
+	for _, c := range []struct {
+		name    string
+		blender Blender
+		tile    int
+	}{
+		{"plate/tiled", tiledBlenders(t)["plate"], 16},
+		{"plate/one-tile", tiledBlenders(t)["plate"], oneTile},
+		{"point/shared-mask", wide, 16},
+	} {
+		gen := MustGenerator(ks, c.blender, 77)
+		gen.TileSize = c.tile
 		gen.Workers = 2
 		want := gen.GenerateAt(-16, -16, 40, 36)
 
@@ -252,7 +286,7 @@ func TestConcurrentGenerateAt(t *testing.T) {
 		}
 		for i, r := range results {
 			if d := want.MaxAbsDiff(r); d > 0 {
-				t.Errorf("engine %v: goroutine %d deviates by %g", engine, i, d)
+				t.Errorf("%s: goroutine %d deviates by %g", c.name, i, d)
 			}
 		}
 	}
