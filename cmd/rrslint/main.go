@@ -1,10 +1,8 @@
 // Command rrslint runs the project-specific static analysis suite
 // (internal/lint) over this module: the AST checks floatcmp,
-// parpolicy, seedrand, errdrop and mapordered; the CFG dataflow passes
-// poolbalance, retainescape and goleak; the interprocedural passes
-// lockbalance, ctxflow and httpwrite; and the determinism-taint passes
-// detflow and floatreduce. It is part of the scripts/check.sh
-// verification gate.
+// parpolicy, seedrand, errdrop and mapordered, and the interprocedural
+// passes ctxflow and detflow (determinism taint). It is part of the
+// scripts/check.sh verification gate.
 //
 // Usage:
 //

@@ -16,14 +16,14 @@ func TestListChecks(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	for _, want := range []string{
-		"floatcmp", "parpolicy", "seedrand", "errdrop", "mapordered",
-		"poolbalance", "retainescape", "goleak",
-		"lockbalance", "ctxflow", "httpwrite",
-		"detflow", "floatreduce",
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("-list output missing %q:\n%s", want, out.String())
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	checks := lint.Checks()
+	if len(lines) != len(checks) {
+		t.Fatalf("-list printed %d lines, want one per check (%d):\n%s", len(lines), len(checks), out.String())
+	}
+	for i, c := range checks {
+		if !strings.HasPrefix(lines[i], c.Name+" ") {
+			t.Errorf("-list line %d = %q, want check %q", i, lines[i], c.Name)
 		}
 	}
 }
@@ -70,8 +70,8 @@ func decodeJSON(t *testing.T, data []byte, wantChecks int) jsonOutput {
 	return out
 }
 
-// TestRepoIsLintClean is the gate the rest of the PR maintains: the
-// module's own tree must produce zero findings under all 13 checks.
+// TestRepoIsLintClean is the gate every change maintains: the module's
+// own tree must produce zero findings under every registered check.
 func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
@@ -89,7 +89,7 @@ func TestRepoIsLintClean(t *testing.T) {
 		t.Fatalf("rrslint exit %d on own tree\nstdout: %s\nstderr: %s",
 			code, out.String(), errb.String())
 	}
-	res := decodeJSON(t, out.Bytes(), 13)
+	res := decodeJSON(t, out.Bytes(), len(lint.Checks()))
 	if len(res.Findings) != 0 {
 		t.Errorf("own tree has %d findings", len(res.Findings))
 	}
@@ -127,63 +127,68 @@ func writeModule(t *testing.T, files map[string]string) string {
 	return dir
 }
 
-const leakySrc = `package tmpfixture
+// dirtySrc trips four AST checks: seedrand (the import), floatcmp,
+// parpolicy and errdrop (Save's error dropped in Drop).
+const dirtySrc = `package tmpfixture
 
-import "sync"
+import "math/rand"
 
-var pool = sync.Pool{New: func() any { return new([]byte) }}
-var keep []byte
-
-func Leak(cond bool) *[]byte {
-	b := pool.Get().(*[]byte)
-	if cond {
-		return nil
-	}
-	return b
+func Same(a, b float64) bool {
+	return a == b
 }
 
 func Orphan(fn func()) {
 	go fn()
 }
 
-func StashInto(dst []byte) {
-	keep = dst
+func Roll() int {
+	return rand.Intn(6)
+}
+
+func Save() error { return nil }
+
+func Drop() {
+	Save()
 }
 `
 
+// silencedSrc is dirtySrc with the floatcmp, parpolicy and seedrand
+// findings silenced in source.
 const silencedSrc = `package tmpfixture
 
-import "sync"
+import "math/rand" //lint:ignore seedrand test fixture: the global source is deliberate
 
-var pool = sync.Pool{New: func() any { return new([]byte) }}
-var keep []byte
-
-func Leak(cond bool) *[]byte {
-	//lint:ignore poolbalance test fixture: leak is deliberate
-	b := pool.Get().(*[]byte)
-	if cond {
-		return nil
-	}
-	return b
+func Same(a, b float64) bool {
+	//lint:ignore floatcmp test fixture: exactness is deliberate
+	return a == b
 }
 
 func Orphan(fn func()) {
-	//lint:ignore goleak test fixture: orphan is deliberate
+	//lint:ignore parpolicy test fixture: the raw goroutine is deliberate
 	go fn()
 }
 
-func StashInto(dst []byte) {
-	//lint:ignore retainescape test fixture: retention is deliberate
-	keep = dst
+func Roll() int {
+	return rand.Intn(6)
+}
+
+func Save() error { return nil }
+
+func Drop() {
+	Save()
 }
 `
 
+// selected is the -checks list the fixed-module tests run: three
+// checks that all fire on dirtySrc.
+const selected = "floatcmp,parpolicy,seedrand"
+
 // TestNewPassesExitCode drives the CLI over a module where all three
-// CFG passes fire: exit 1, each pass named in the JSON findings.
+// selected checks fire: exit 1, each check named in the JSON findings.
 func TestNewPassesExitCode(t *testing.T) {
-	chdir(t, writeModule(t, map[string]string{"leaky.go": leakySrc}))
+	chdir(t, writeModule(t, map[string]string{"dirty.go": dirtySrc}))
 	var out, errb bytes.Buffer
-	code := run([]string{"-checks", "poolbalance,retainescape,goleak", "-json", "./..."}, &out, &errb)
+	code := run([]string{"-checks", selected, "-json", "./..."}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
@@ -192,7 +197,7 @@ func TestNewPassesExitCode(t *testing.T) {
 	for _, d := range res.Findings {
 		got[d.Check]++
 	}
-	for _, check := range []string{"poolbalance", "retainescape", "goleak"} {
+	for _, check := range strings.Split(selected, ",") {
 		if got[check] == 0 {
 			t.Errorf("check %s: no finding in %v", check, res.Findings)
 		}
@@ -202,9 +207,9 @@ func TestNewPassesExitCode(t *testing.T) {
 // TestNewPassesHonorIgnore is the same module with every finding
 // silenced by //lint:ignore: exit 0, empty JSON array.
 func TestNewPassesHonorIgnore(t *testing.T) {
-	chdir(t, writeModule(t, map[string]string{"leaky.go": silencedSrc}))
+	chdir(t, writeModule(t, map[string]string{"dirty.go": silencedSrc}))
 	var out, errb bytes.Buffer
-	code := run([]string{"-checks", "poolbalance,retainescape,goleak", "-json", "./..."}, &out, &errb)
+	code := run([]string{"-checks", selected, "-json", "./..."}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d, want 0\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
@@ -223,7 +228,7 @@ func TestSelfCheckExcludesTestdata(t *testing.T) {
 		t.Fatalf("exit %d on internal/lint\nstdout: %s\nstderr: %s",
 			code, out.String(), errb.String())
 	}
-	res := decodeJSON(t, out.Bytes(), 13)
+	res := decodeJSON(t, out.Bytes(), len(lint.Checks()))
 	if len(res.Findings) != 0 {
 		t.Errorf("internal/lint has %d findings (testdata leaking in?): %v", len(res.Findings), res.Findings)
 	}
@@ -235,10 +240,10 @@ func TestSelfCheckExcludesTestdata(t *testing.T) {
 // structurally (it cannot be byte-stable) and stripped before the
 // golden comparison.
 func TestJSONGolden(t *testing.T) {
-	chdir(t, writeModule(t, map[string]string{"leaky.go": leakySrc}))
+	chdir(t, writeModule(t, map[string]string{"dirty.go": dirtySrc}))
 	runOnce := func() []byte {
 		var out, errb bytes.Buffer
-		if code := run([]string{"-checks", "poolbalance,retainescape,goleak", "-format", "json", "./..."}, &out, &errb); code != 1 {
+		if code := run([]string{"-checks", selected, "-format", "json", "./..."}, &out, &errb); code != 1 {
 			t.Fatalf("exit %d, want 1\nstderr: %s", code, errb.String())
 		}
 		res := decodeJSON(t, out.Bytes(), 3)
@@ -250,9 +255,9 @@ func TestJSONGolden(t *testing.T) {
 	}
 	got := runOnce()
 	const golden = `[` +
-		`{"check":"poolbalance","file":"leaky.go","line":9,"col":7,"message":"pool.Get may reach a non-panic exit without a matching Put"},` +
-		`{"check":"goleak","file":"leaky.go","line":17,"col":2,"message":"goroutine may have no join on some path to return; add a WaitGroup.Wait or channel receive on every exit"},` +
-		`{"check":"retainescape","file":"leaky.go","line":21,"col":2,"message":"caller-owned buffer of StashInto stored into a package-level variable; Into/GenerateAt destinations must not outlive the call"}` +
+		`{"check":"seedrand","file":"dirty.go","line":3,"col":8,"message":"math/rand outside internal/rng; draw variates from internal/rng so seeds stay reproducible"},` +
+		`{"check":"floatcmp","file":"dirty.go","line":6,"col":11,"message":"exact == between floating-point/complex values; compare against a tolerance instead"},` +
+		`{"check":"parpolicy","file":"dirty.go","line":10,"col":2,"message":"raw go statement outside internal/par; route fan-out through par.For/par.ForEach"}` +
 		`]`
 	if string(got) != golden {
 		t.Errorf("findings drifted from golden:\n got: %s\nwant: %s", got, golden)
@@ -266,9 +271,9 @@ func TestJSONGolden(t *testing.T) {
 // per registered check, one result per finding with a physical
 // location.
 func TestSARIFOutput(t *testing.T) {
-	chdir(t, writeModule(t, map[string]string{"leaky.go": leakySrc}))
+	chdir(t, writeModule(t, map[string]string{"dirty.go": dirtySrc}))
 	var out, errb bytes.Buffer
-	if code := run([]string{"-checks", "poolbalance,retainescape,goleak", "-format", "sarif", "./..."}, &out, &errb); code != 1 {
+	if code := run([]string{"-checks", selected, "-format", "sarif", "./..."}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d, want 1\nstderr: %s", code, errb.String())
 	}
 	var log struct {
@@ -304,18 +309,18 @@ func TestSARIFOutput(t *testing.T) {
 		t.Fatalf("envelope: version %q, %d runs", log.Version, len(log.Runs))
 	}
 	r := log.Runs[0]
-	if r.Tool.Driver.Name != "rrslint" || len(r.Tool.Driver.Rules) != 13 {
-		t.Errorf("driver: name %q, %d rules (want rrslint, 13)", r.Tool.Driver.Name, len(r.Tool.Driver.Rules))
+	if want := len(lint.Checks()); r.Tool.Driver.Name != "rrslint" || len(r.Tool.Driver.Rules) != want {
+		t.Errorf("driver: name %q, %d rules (want rrslint, %d)", r.Tool.Driver.Name, len(r.Tool.Driver.Rules), want)
 	}
-	// The determinism-taint rules must be in the SARIF rule table even
-	// when the run selects other checks: code scanning keys on rule IDs.
+	// Every registered rule must be in the SARIF rule table even when
+	// the run selects other checks: code scanning keys on rule IDs.
 	haveRule := map[string]bool{}
 	for _, rule := range r.Tool.Driver.Rules {
 		haveRule[rule.ID] = true
 	}
-	for _, id := range []string{"detflow", "floatreduce"} {
-		if !haveRule[id] {
-			t.Errorf("SARIF rule table missing %q", id)
+	for _, c := range lint.Checks() {
+		if !haveRule[c.Name] {
+			t.Errorf("SARIF rule table missing %q", c.Name)
 		}
 	}
 	if len(r.Results) != 3 {
@@ -323,7 +328,7 @@ func TestSARIFOutput(t *testing.T) {
 	}
 	for _, res := range r.Results {
 		if res.RuleID == "" || len(res.Locations) != 1 ||
-			res.Locations[0].PhysicalLocation.ArtifactLocation.URI != "leaky.go" ||
+			res.Locations[0].PhysicalLocation.ArtifactLocation.URI != "dirty.go" ||
 			res.Locations[0].PhysicalLocation.Region.StartLine == 0 {
 			t.Errorf("malformed result: %+v", res)
 		}
@@ -333,15 +338,15 @@ func TestSARIFOutput(t *testing.T) {
 // TestChecksExcludeFlag drives the -checks exclusion syntax end to
 // end: the excluded pass stays quiet, the rest still fire.
 func TestChecksExcludeFlag(t *testing.T) {
-	chdir(t, writeModule(t, map[string]string{"leaky.go": leakySrc}))
+	chdir(t, writeModule(t, map[string]string{"dirty.go": dirtySrc}))
 	var out, errb bytes.Buffer
-	code := run([]string{"-checks", "-poolbalance,-floatcmp", "-json", "./..."}, &out, &errb)
+	code := run([]string{"-checks", "-seedrand,-floatcmp", "-json", "./..."}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\nstderr: %s", code, errb.String())
 	}
-	res := decodeJSON(t, out.Bytes(), 11)
+	res := decodeJSON(t, out.Bytes(), len(lint.Checks())-2)
 	for _, d := range res.Findings {
-		if d.Check == "poolbalance" || d.Check == "floatcmp" {
+		if d.Check == "seedrand" || d.Check == "floatcmp" {
 			t.Errorf("excluded check still reported: %v", d)
 		}
 	}
@@ -349,7 +354,7 @@ func TestChecksExcludeFlag(t *testing.T) {
 	for _, d := range res.Findings {
 		got[d.Check] = true
 	}
-	if !got["goleak"] || !got["retainescape"] {
+	if !got["parpolicy"] || !got["errdrop"] {
 		t.Errorf("non-excluded checks missing from %v", res.Findings)
 	}
 }
@@ -358,7 +363,7 @@ func TestChecksExcludeFlag(t *testing.T) {
 // package is a load error (exit 2, naming the pattern) in both forms,
 // so a mistyped directory in a CI script cannot lint nothing and pass.
 func TestUnmatchedPatternExitsError(t *testing.T) {
-	chdir(t, writeModule(t, map[string]string{"leaky.go": leakySrc}))
+	chdir(t, writeModule(t, map[string]string{"dirty.go": dirtySrc}))
 	for _, args := range [][]string{
 		{"./nosuchdir"},
 		{"-json", "./nosuch/..."},

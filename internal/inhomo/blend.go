@@ -325,7 +325,9 @@ func NewPointBlender(points []Point, t float64, numComponents int) (*PointBlende
 // NumComponents implements Blender.
 func (b *PointBlender) NumComponents() int { return b.numComponents }
 
-// BlendWeights implements Blender.
+// BlendWeights implements Blender. It allocates nothing while at most
+// 16 non-nearest points qualify at (x, y); beyond that the candidate
+// list spills to the heap.
 func (b *PointBlender) BlendWeights(w []float64, x, y float64) {
 	for i := range w {
 		w[i] = 0
@@ -333,12 +335,9 @@ func (b *PointBlender) BlendWeights(w []float64, x, y float64) {
 	// Nearest representative point m* (eqn 40).
 	best := 0
 	bestD2 := math.Inf(1)
-	d2 := make([]float64, len(b.Points))
 	for i, p := range b.Points {
-		dx, dy := x-p.X, y-p.Y
-		d2[i] = dx*dx + dy*dy
-		if d2[i] < bestD2 {
-			bestD2 = d2[i]
+		if d2 := dist2(p, x, y); d2 < bestD2 {
+			bestD2 = d2
 			best = i
 		}
 	}
@@ -348,7 +347,8 @@ func (b *PointBlender) BlendWeights(w []float64, x, y float64) {
 		idx int
 		tau float64
 	}
-	var cands []cand
+	var buf [16]cand
+	cands := buf[:0]
 	for i := range b.Points {
 		if i == best {
 			continue
@@ -359,7 +359,7 @@ func (b *PointBlender) BlendWeights(w []float64, x, y float64) {
 			cands = append(cands, cand{i, 0})
 			continue
 		}
-		tau := (d2[i] - bestD2) / (2 * sep)
+		tau := (dist2(b.Points[i], x, y) - bestD2) / (2 * sep)
 		if tau <= b.T { // eqn (41)
 			cands = append(cands, cand{i, tau})
 		}
@@ -372,6 +372,12 @@ func (b *PointBlender) BlendWeights(w []float64, x, y float64) {
 		others += g
 	}
 	w[b.Points[best].Component] += 1 - others
+}
+
+// dist2 is the squared distance from (x, y) to p.
+func dist2(p Point, x, y float64) float64 {
+	dx, dy := x-p.X, y-p.Y
+	return dx*dx + dy*dy
 }
 
 // SupportMask implements Blender. Representative point i can

@@ -285,6 +285,33 @@ func TestPointBlenderCoincidentPoints(t *testing.T) {
 	}
 }
 
+// TestPointBlenderAllocationFree pins that the per-sample point blend
+// allocates nothing, both when no other point qualifies (narrow T) and
+// when every point does (T wider than the configuration).
+func TestPointBlenderAllocationFree(t *testing.T) {
+	pts := []Point{
+		{X: 0, Y: 0, Component: 0},
+		{X: 130, Y: 40, Component: 1},
+		{X: -90, Y: 110, Component: 2},
+		{X: 60, Y: -150, Component: 1},
+		{X: -40, Y: -60, Component: 0},
+	}
+	for _, T := range []float64{1, 1000} {
+		b := mustPointBlender(t, pts, T, 3)
+		w := make([]float64, 3)
+		allocs := testing.AllocsPerRun(10, func() {
+			for y := -160.0; y <= 160; y += 16 {
+				for x := -160.0; x <= 160; x += 16 {
+					b.BlendWeights(w, x, y)
+				}
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("T=%g: BlendWeights allocates %v objects per window, want 0", T, allocs)
+		}
+	}
+}
+
 func TestQuickPointWeightsPartitionOfUnity(t *testing.T) {
 	f := func(seed int64, px, py float64) bool {
 		// A fixed mildly irregular 5-point configuration; probe anywhere.

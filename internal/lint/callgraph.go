@@ -1,25 +1,25 @@
 package lint
 
 // callgraph.go: a package-level call graph over one lint unit, the
-// substrate that takes the dataflow passes from intra-procedural
-// (PR 4's cfg.go) to interprocedural. Nodes are the unit's declared
-// functions and methods; edges are call sites resolved through
-// go/types (Info.Uses) to functions declared in the same unit. Calls
-// that leave the unit — stdlib, sibling module packages — are not
-// edges; their effects are approximated by the package/receiver effect
-// table in summary.go, mirroring how summary-based analyzers (Infer,
-// RacerX) treat library frontiers. Neither is a call go/types left
-// unresolved (an ill-typed unit's partial Info): unknown adds no edge.
+// substrate of the interprocedural passes (ctxflow, detflow). Nodes are
+// the unit's declared functions and methods; edges are call sites
+// resolved through go/types (Info.Uses) to functions declared in the
+// same unit. Calls that leave the unit — stdlib, sibling module
+// packages — are not edges; their effects are approximated by the
+// package/receiver effect table in summary.go, mirroring how
+// summary-based analyzers (Infer, RacerX) treat library frontiers.
+// Neither is a call go/types left unresolved (an ill-typed unit's
+// partial Info): unknown adds no edge.
 //
 // Two call relations are kept per node, because two different
 // questions are asked of the graph:
 //
 //   - sync: calls that execute on the function's own frame (statements
-//     and registered defers, stopping at function literals). Effect
-//     summaries — locks, blocking, status writes — propagate along
-//     sync edges only: a closure handed to `go` or a worker pool does
-//     its blocking on another goroutine, and crediting it to the
-//     caller would poison every launcher.
+//     and registered defers, stopping at function literals). The
+//     blocking summary propagates along sync edges only: a closure
+//     handed to `go` or a worker pool does its blocking on another
+//     goroutine, and crediting it to the caller would poison every
+//     launcher.
 //   - reach: sync plus calls made inside function literals defined in
 //     the body. Reachability questions ("is this function on a request
 //     path from an HTTP handler?") follow reach edges: the closure a

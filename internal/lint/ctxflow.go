@@ -27,7 +27,10 @@ package lint
 //        so the proxied dial outlives the client that asked for it.
 //        Use http.NewRequestWithContext.
 
-import "go/ast"
+import (
+	"go/ast"
+	"go/types"
+)
 
 func runCtxflow(p *pass) {
 	s := p.summaries()
@@ -82,4 +85,27 @@ func runCtxflow(p *pass) {
 				n.name(), sum.blockWhy)
 		}
 	}
+}
+
+// isHandlerDecl reports whether the declaration is handler-shaped: it
+// takes both an http.ResponseWriter and a *http.Request.
+func (s *summaries) isHandlerDecl(n *funcNode) bool {
+	params := n.decl.Type.Params
+	if params == nil {
+		return false
+	}
+	hasRW, hasReq := false, false
+	for _, field := range params.List {
+		tv, ok := s.p.unit.Info.Types[field.Type]
+		if !ok || tv.Type == nil {
+			continue
+		}
+		if isNamedType(tv.Type, "net/http", "ResponseWriter") {
+			hasRW = true
+		}
+		if ptr, ok := tv.Type.Underlying().(*types.Pointer); ok && isNamedType(ptr.Elem(), "net/http", "Request") {
+			hasReq = true
+		}
+	}
+	return hasRW && hasReq
 }

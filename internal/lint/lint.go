@@ -1,6 +1,6 @@
 // Package lint is rrslint: a project-specific static analysis suite
 // for this repository. It enforces invariants the compiler cannot see
-// but the paper's statistics depend on:
+// but the paper's statistics depend on. Five checks walk the AST:
 //
 //	floatcmp     — no exact ==/!= between float or complex values
 //	parpolicy    — parallel fan-out only via internal/par
@@ -8,43 +8,29 @@
 //	errdrop      — no discarded errors from this module's own APIs
 //	mapordered   — no order-dependent work inside map iteration
 //
-// Three passes run dataflow over a control-flow graph (cfg.go) instead
-// of walking the AST, because their invariants are path properties:
+// Two are interprocedural: they run over per-function effect summaries
+// (summary.go) propagated bottom-up in SCC order across a package-level
+// call graph (callgraph.go), so a park reached or a tainted value
+// returned three helpers deep is still visible at the caller:
 //
-//	poolbalance  — sync.Pool.Get balanced by Put on every non-panic path
-//	retainescape — Into/GenerateAt destination buffers never retained
-//	goleak       — goroutines joined on every path out of their launcher
-//
-// Three more are interprocedural: they run over per-function effect
-// summaries (summary.go) propagated bottom-up in SCC order across a
-// package-level call graph (callgraph.go), so a lock acquired, a park
-// reached, or a status written three helpers deep is still visible at
-// the caller:
-//
-//	lockbalance  — locks released on every non-panic path, never
-//	               blocked on while held, never re-acquired
 //	ctxflow      — request-path blocking always has a threaded
 //	               context.Context; no dropped or severed contexts
-//	httpwrite    — every handler path writes exactly one status and
-//	               no body after an error
-//
-// Two more track determinism, the property every golden SHA and
-// content-addressed ID in this repo rests on, over the same summary
-// substrate (taint.go):
-//
 //	detflow      — nondeterminism sources (map order, time, global
 //	               rand, env, %p, select choice, goroutine write
 //	               order) never flow into hashes, cache keys, rng
 //	               seeds, sample buffers, or encoded artifacts
-//	floatreduce  — no floating-point accumulation whose summation
-//	               order depends on worker count or scheduling
+//
+// detflow guards the property every golden SHA and content-addressed
+// ID in this repo rests on; its taint engine is taint.go.
 //
 // Any single finding can be silenced in source with a justification:
 //
 //	//lint:ignore <check>[,<check>...] <reason>
 //
-// placed on the offending line or the line directly above it. The
-// suite is stdlib-only (go/ast, go/parser, go/types) by design.
+// placed on the offending line or the line directly above it. A
+// directive without a reason, or one naming a check the suite does not
+// register, is itself a finding. The suite is stdlib-only (go/ast,
+// go/parser, go/types) by design.
 package lint
 
 import (
@@ -54,6 +40,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -92,14 +79,8 @@ var allChecks = []check{
 	{"seedrand", "math/rand usage outside internal/rng", runSeedrand},
 	{"errdrop", "discarded error results from module-internal APIs", runErrdrop},
 	{"mapordered", "order-dependent work inside map iteration", runMapordered},
-	{"poolbalance", "sync.Pool.Get without a matching Put on some non-panic path", runPoolbalance},
-	{"retainescape", "caller-owned Into/GenerateAt buffer retained beyond the call", runRetainescape},
-	{"goleak", "goroutine without a join on every path out of its launcher", runGoleak},
-	{"lockbalance", "mutex left locked on some path, blocked on, or re-acquired through a callee", runLockbalance},
 	{"ctxflow", "request-path blocking without an accepted and threaded context.Context", runCtxflow},
-	{"httpwrite", "handler path with zero, double, or post-error HTTP status/body writes", runHttpwrite},
 	{"detflow", "nondeterministic value flowing into a hash, key, seed, or encoded artifact", runDetflow},
-	{"floatreduce", "floating-point accumulation whose summation order depends on scheduling", runFloatreduce},
 }
 
 // CheckNames lists every registered check with its one-line doc.
@@ -134,6 +115,16 @@ type pass struct {
 	unit    *Unit
 	diags   *[]Diagnostic
 	sums    *summaries // lazily built per unit; see summary.go
+}
+
+// byName looks a registered check up by name.
+func byName(name string) (check, bool) {
+	for _, c := range allChecks {
+		if c.name == name {
+			return c, true
+		}
+	}
+	return check{}, false
 }
 
 // reportf records a finding at pos.
@@ -198,22 +189,33 @@ func RunTimed(cfg Config) (Result, error) {
 			return Result{}, err
 		}
 	}
-	selected, err := selectChecks(cfg.Checks)
+	fset, std, err := sourceImporter()
 	if err != nil {
 		return Result{}, err
 	}
-	l, err := newLoader(cfg.Root, modPath)
+	l, err := newLoader(cfg.Root, modPath, fset, std)
 	if err != nil {
 		return Result{}, err
 	}
-	units, err := l.units(cfg.Dirs)
+	return l.run(cfg.Dirs, cfg.Checks)
+}
+
+// run loads the units under dirs and applies the named checks (nil
+// selects all of both), returning surviving diagnostics sorted by
+// position plus the per-check timing.
+func (l *loader) run(dirs, checks []string) (Result, error) {
+	selected, err := selectChecks(checks)
+	if err != nil {
+		return Result{}, err
+	}
+	units, err := l.units(dirs)
 	if err != nil {
 		return Result{}, err
 	}
 	var diags []Diagnostic
 	spent := make([]time.Duration, len(selected))
 	for _, u := range units {
-		p := &pass{fset: l.fset, root: l.root, modPath: modPath, unit: u, diags: &diags}
+		p := &pass{fset: l.fset, root: l.root, modPath: l.modPath, unit: u, diags: &diags}
 		for i, c := range selected {
 			start := time.Now()
 			c.run(p)
@@ -248,14 +250,6 @@ func RunTimed(cfg Config) (Result, error) {
 func selectChecks(names []string) ([]check, error) {
 	if len(names) == 0 {
 		return allChecks, nil
-	}
-	byName := func(name string) (check, bool) {
-		for _, c := range allChecks {
-			if c.name == name {
-				return c, true
-			}
-		}
-		return check{}, false
 	}
 	var includes []check
 	excluded := map[string]bool{}
@@ -300,8 +294,10 @@ type ignoreDirective struct {
 }
 
 // applyIgnores drops diagnostics suppressed by //lint:ignore
-// directives and reports malformed directives as findings of the
-// synthetic "directive" check, so silencing always carries a reason.
+// directives and reports malformed directives, and names that match no
+// registered check, as findings of the synthetic "directive" check:
+// silencing always carries a reason, and a stale or misspelled name
+// fails instead of silencing nothing.
 func applyIgnores(l *loader, units []*Unit, diags []Diagnostic) []Diagnostic {
 	perFile := map[string][]ignoreDirective{}
 	var out []Diagnostic
@@ -326,8 +322,19 @@ func applyIgnores(l *loader, units []*Unit, diags []Diagnostic) []Diagnostic {
 						continue
 					}
 					checks := map[string]bool{}
+					var unknown []string
 					for _, name := range strings.Split(m[1], ",") {
+						if _, ok := byName(name); !ok {
+							unknown = append(unknown, strconv.Quote(name))
+							continue
+						}
 						checks[name] = true
+					}
+					if len(unknown) > 0 {
+						out = append(out, Diagnostic{
+							Check: "directive", File: file, Line: pos.Line, Col: pos.Column,
+							Message: "directive names unregistered check " + strings.Join(unknown, ", ") + "; a stale or misspelled name silences nothing",
+						})
 					}
 					perFile[file] = append(perFile[file], ignoreDirective{checks: checks, line: pos.Line})
 				}

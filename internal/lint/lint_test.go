@@ -4,28 +4,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"roughsurface/internal/lint"
 )
 
-// fixtureTree is one lint.Run of every check over the whole fixture
-// module, computed once per test binary. A unit's findings depend only
-// on that unit, so each (dir, check) row reads its slice of this run
-// instead of loading and type-checking the tree again.
-var fixtureTree = sync.OnceValues(func() ([]lint.Diagnostic, error) {
-	return lint.Run(lint.Config{Root: "testdata/src/fixture", ModPath: "fixture"})
-})
-
 // fixtureRun returns the findings of one check under one fixture
-// directory as "file:line check" strings, plus the malformed-directive
-// findings there, which a run of any check reports.
+// directory as "file:line check" strings, plus the directive findings
+// there, which a run of any check reports. It reads them from
+// lint.FixtureTree: a unit's findings depend only on that unit, so
+// each row reads its slice of one run.
 func fixtureRun(t *testing.T, dir, check string) []string {
 	t.Helper()
-	diags, err := fixtureTree()
+	diags, err := lint.FixtureTree()
 	if err != nil {
-		t.Fatalf("lint.Run: %v", err)
+		t.Fatalf("fixture run: %v", err)
 	}
 	var got []string
 	for _, d := range diags {
@@ -76,39 +69,12 @@ func TestChecks(t *testing.T) {
 			"mapordered/mapordered.go:12 mapordered",
 			"mapordered/mapordered.go:28 mapordered",
 		}},
-		{"poolbalance", "poolbalance", []string{
-			"poolbalance/poolbalance.go:13 poolbalance",
-			"poolbalance/poolbalance.go:22 poolbalance",
-		}},
-		{"retainescape", "retainescape", []string{
-			"retainescape/retainescape.go:22 retainescape",
-			"retainescape/retainescape.go:30 retainescape",
-			"retainescape/retainescape.go:36 retainescape",
-			"retainescape/retainescape.go:41 retainescape",
-			"retainescape/retainescape.go:46 retainescape",
-		}},
-		{"goleak", "goleak", []string{
-			"goleak/goleak.go:11 goleak",
-			"goleak/goleak.go:17 goleak",
-		}},
-		{"lockbalance", "lockbalance", []string{
-			"lockbalance/lockbalance.go:29 lockbalance", // leaked on early return
-			"lockbalance/lockbalance.go:39 lockbalance", // channel wait while held
-			"lockbalance/lockbalance.go:48 lockbalance", // blocking callee (needs summary)
-			"lockbalance/lockbalance.go:60 lockbalance", // recursive lock via method (needs call graph)
-			"lockbalance/lockbalance.go:73 lockbalance", // direct double lock
-		}},
 		{"ctxflow", "ctxflow", []string{
 			"ctxflow/ctxflow.go:32 ctxflow", // blocks on request path, no ctx (needs call graph)
 			"ctxflow/ctxflow.go:38 ctxflow", // same, reached through a closure (needs reach edges)
 			"ctxflow/ctxflow.go:48 ctxflow", // ctx parameter dropped
 			"ctxflow/ctxflow.go:55 ctxflow", // context.Background under a ctx param
 			"ctxflow/ctxflow.go:77 ctxflow", // outbound http.NewRequest drops the inbound ctx
-		}},
-		{"httpwrite", "httpwrite", []string{
-			"httpwrite/httpwrite.go:28 httpwrite", // path with no write
-			"httpwrite/httpwrite.go:38 httpwrite", // double status via two helpers (needs summaries)
-			"httpwrite/httpwrite.go:46 httpwrite", // body after error status
 		}},
 		{"detflow", "detflow", []string{
 			"detflow/detflow.go:30 detflow",  // map iteration order into a hash
@@ -119,39 +85,14 @@ func TestChecks(t *testing.T) {
 			"detflow/detflow.go:88 detflow",  // hash inside a callee (needs sinkParams)
 			"detflow/detflow.go:105 detflow", // goroutine write order into a hash
 		}},
-		{"floatreduce", "floatreduce", []string{
-			"floatreduce/floatreduce.go:19 floatreduce", // captured += under par.Dynamic
-			"floatreduce/floatreduce.go:30 floatreduce", // x = x + e under a raw goroutine
-			"floatreduce/floatreduce.go:52 floatreduce", // &acc through addTo (needs accum summary)
-			"floatreduce/floatreduce.go:65 floatreduce", // named task accumulating a global
-			"floatreduce/floatreduce.go:71 floatreduce", // global reached through a callee
-		}},
-		// parpolicy's fixture joins every goroutine through wg.Wait, so
-		// the CFG pass must stay quiet on it even though parpolicy fires.
-		{"parpolicy", "goleak", nil},
-		// The new fixtures' negatives double as cross-checks: httpwrite's
-		// helpers never block (no ctxflow), ctxflow's handler writes once
-		// (no httpwrite), lockbalance's helpers are handler-free.
-		{"httpwrite", "ctxflow", nil},
-		{"ctxflow", "httpwrite", nil},
-		{"lockbalance", "ctxflow", nil},
-		{"lockbalance", "httpwrite", nil},
-		{"httpwrite", "lockbalance", nil},
-		{"ctxflow", "lockbalance", nil},
-		// The taint fixtures must not trip each other: detflow's joined
-		// goroutines write strings (no float accumulation), and
-		// floatreduce's accumulators never reach a sink. Neither trips
-		// goleak (every launch joins), and detflow's collect-then-sort
-		// negative stays invisible to mapordered.
-		{"detflow", "floatreduce", nil},
-		{"floatreduce", "detflow", nil},
-		{"detflow", "goleak", nil},
-		{"floatreduce", "goleak", nil},
+		// detflow's collect-then-sort negative stays invisible to
+		// mapordered.
 		{"detflow", "mapordered", nil},
 		{"ignore", "floatcmp", []string{
 			"ignore/ignore.go:16 floatcmp",
 			"ignore/ignore.go:20 directive",
 			"ignore/ignore.go:21 floatcmp",
+			"ignore/ignore.go:25 directive", // names an unregistered check
 		}},
 		// buildtag holds a race/!race constant pair: honoring //go:build
 		// is what keeps the pair from "redeclaring" in one lint unit.
@@ -161,14 +102,8 @@ func TestChecks(t *testing.T) {
 		{"clean", "seedrand", nil},
 		{"clean", "errdrop", nil},
 		{"clean", "mapordered", nil},
-		{"clean", "poolbalance", nil},
-		{"clean", "retainescape", nil},
-		{"clean", "goleak", nil},
-		{"clean", "lockbalance", nil},
 		{"clean", "ctxflow", nil},
-		{"clean", "httpwrite", nil},
 		{"clean", "detflow", nil},
-		{"clean", "floatreduce", nil},
 	}
 	for _, tc := range tests {
 		t.Run(tc.dir+"/"+tc.check, func(t *testing.T) {
@@ -186,10 +121,10 @@ func TestChecks(t *testing.T) {
 }
 
 // TestAllChecksOnFixtureTree pins the per-check and total counts of
-// the full-suite run TestChecks reads its rows from, findings in
+// the full-suite run (lint.FixtureTree) TestChecks reads its rows from, findings in
 // fixture directories no row covers included.
 func TestAllChecksOnFixtureTree(t *testing.T) {
-	diags, err := fixtureTree()
+	diags, err := lint.FixtureTree()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,28 +133,22 @@ func TestAllChecksOnFixtureTree(t *testing.T) {
 		perCheck[d.Check]++
 	}
 	want := map[string]int{
-		"floatcmp":     7,  // 5 in floatcmp fixture + 2 unsilenced in ignore fixture
-		"parpolicy":    10, // 2 in parpolicy fixture + 6 in goleak + 1 each in detflow/floatreduce
-		"seedrand":     4,  // import + 2 time seeds in seedrand fixture, 1 time seed in internal/rng
-		"errdrop":      4,
-		"mapordered":   2,
-		"directive":    1,
-		"poolbalance":  2,
-		"retainescape": 5,
-		"goleak":       2,
-		"lockbalance":  5,
-		"ctxflow":      5,
-		"httpwrite":    3,
-		"detflow":      7,
-		"floatreduce":  5,
+		"floatcmp":   7, // 5 in floatcmp fixture + 2 unsilenced in ignore fixture
+		"parpolicy":  3, // 2 in parpolicy fixture + 1 in detflow
+		"seedrand":   4, // import + 2 time seeds in seedrand fixture, 1 time seed in internal/rng
+		"errdrop":    4,
+		"mapordered": 2,
+		"directive":  2, // one malformed, one naming an unregistered check
+		"ctxflow":    5,
+		"detflow":    7,
 	}
 	for check, n := range want {
 		if perCheck[check] != n {
 			t.Errorf("check %s: got %d findings, want %d (all: %v)", check, perCheck[check], n, diags)
 		}
 	}
-	if len(diags) != 62 {
-		t.Errorf("total findings: got %d, want 62: %v", len(diags), diags)
+	if len(diags) != 34 {
+		t.Errorf("total findings: got %d, want 34: %v", len(diags), diags)
 	}
 }
 
@@ -280,23 +209,32 @@ func TestDiagnosticJSON(t *testing.T) {
 	}
 }
 
-// TestCheckNames pins the registered suite.
+// TestCheckNames pins the registered suite, in registration order.
 func TestCheckNames(t *testing.T) {
+	want := []string{"floatcmp", "parpolicy", "seedrand", "errdrop", "mapordered", "ctxflow", "detflow"}
+	checks := lint.Checks()
 	names := lint.CheckNames()
-	if len(names) != 13 {
-		t.Fatalf("got %d checks, want 13: %v", len(names), names)
+	if len(checks) != len(want) || len(names) != len(want) {
+		t.Fatalf("got %d checks (%d names), want %d: %v", len(checks), len(names), len(want), names)
+	}
+	for i, c := range checks {
+		if c.Name != want[i] || !strings.HasPrefix(names[i], c.Name+" ") {
+			t.Errorf("check %d: got %q (%q), want %q", i, c.Name, names[i], want[i])
+		}
 	}
 }
 
-// TestChecksExclusion pins the -checks exclusion syntax: "-name"
-// removes from the full suite, mixing includes and excludes filters
-// the include list, and selecting nothing is an error.
+// TestChecksExclusion pins the -checks selection rules: a plain name
+// includes, "-name" removes from the full suite, mixing includes and
+// excludes filters the include list, and selecting nothing or naming
+// an unknown check is an error. The floatcmp and parpolicy fixtures
+// import nothing heavier than sync, so each Run stays cheap.
 func TestChecksExclusion(t *testing.T) {
 	run := func(checks []string) ([]lint.Diagnostic, error) {
 		return lint.Run(lint.Config{
 			Root:    "testdata/src/fixture",
 			ModPath: "fixture",
-			Dirs:    []string{"lockbalance/...", "ctxflow/..."},
+			Dirs:    []string{"floatcmp/...", "parpolicy/..."},
 			Checks:  checks,
 		})
 	}
@@ -304,26 +242,26 @@ func TestChecksExclusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := run([]string{"-lockbalance"})
+	without, err := run([]string{"-floatcmp"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := len(all) - 5; len(without) != want {
-		t.Errorf("excluding lockbalance: got %d findings, want %d", len(without), want)
+		t.Errorf("excluding floatcmp: got %d findings, want %d", len(without), want)
 	}
 	for _, d := range without {
-		if d.Check == "lockbalance" {
+		if d.Check == "floatcmp" {
 			t.Errorf("excluded check still reported: %v", d)
 		}
 	}
-	mixed, err := run([]string{"lockbalance", "ctxflow", "-lockbalance"})
+	mixed, err := run([]string{"floatcmp", "parpolicy", "-floatcmp"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mixed) != 5 {
-		t.Errorf("include+exclude: got %d findings, want 5 (ctxflow only): %v", len(mixed), mixed)
+	if len(mixed) != 2 {
+		t.Errorf("include+exclude: got %d findings, want 2 (parpolicy only): %v", len(mixed), mixed)
 	}
-	if _, err := run([]string{"ctxflow", "-ctxflow"}); err == nil {
+	if _, err := run([]string{"parpolicy", "-parpolicy"}); err == nil {
 		t.Error("empty selection accepted")
 	}
 	if _, err := run([]string{"-nosuchcheck"}); err == nil {
@@ -342,8 +280,8 @@ func TestRunTimed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Timing) != 13 {
-		t.Fatalf("got %d timing entries, want 13: %v", len(res.Timing), res.Timing)
+	if want := len(lint.Checks()); len(res.Timing) != want {
+		t.Fatalf("got %d timing entries, want %d: %v", len(res.Timing), want, res.Timing)
 	}
 	for i, ct := range res.Timing {
 		if ct.Millis < 0 {

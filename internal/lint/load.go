@@ -64,15 +64,25 @@ type loader struct {
 	parsed  map[string][]srcFile      // dir -> parse results
 }
 
-func newLoader(root, modPath string) (*loader, error) {
-	abs, err := filepath.Abs(root)
-	if err != nil {
-		return nil, err
-	}
+// sourceImporter returns a fresh file set and a source importer for
+// the standard library whose positions live in it.
+func sourceImporter() (*token.FileSet, types.ImporterFrom, error) {
 	fset := token.NewFileSet()
 	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
 	if !ok {
-		return nil, fmt.Errorf("lint: source importer unavailable")
+		return nil, nil, fmt.Errorf("lint: source importer unavailable")
+	}
+	return fset, std, nil
+}
+
+// newLoader returns a loader for the module at root that parses into
+// fset and imports the standard library through std. Loaders that
+// share an importer share its type-checked packages; the importer is
+// not safe for concurrent use.
+func newLoader(root, modPath string, fset *token.FileSet, std types.ImporterFrom) (*loader, error) {
+	abs, err := filepath.Abs(root)
+	if err != nil {
+		return nil, err
 	}
 	return &loader{
 		root:    abs,

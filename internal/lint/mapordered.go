@@ -162,3 +162,18 @@ func outputCall(p *pass, call *ast.CallExpr) (string, bool) {
 	}
 	return "", false
 }
+
+// inspectShallow walks n like ast.Inspect but does not descend into
+// function literals: runMapordered checks every literal as a body of
+// its own, against its own sorted-slice set.
+func inspectShallow(n ast.Node, f func(ast.Node) bool) {
+	ast.Inspect(n, func(m ast.Node) bool {
+		if m == nil {
+			return true
+		}
+		if _, ok := m.(*ast.FuncLit); ok && m != n {
+			return false
+		}
+		return f(m)
+	})
+}

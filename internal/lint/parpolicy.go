@@ -23,7 +23,7 @@ func runParpolicy(p *pass) {
 				p.reportf(n.Go, "parpolicy",
 					"raw go statement outside internal/par; route fan-out through par.For/par.ForEach")
 			case *ast.Ident:
-				if obj, ok := p.unit.Info.Defs[n].(*types.Var); ok && isSyncType(obj.Type(), "WaitGroup") {
+				if obj, ok := p.unit.Info.Defs[n].(*types.Var); ok && isNamedType(obj.Type(), "sync", "WaitGroup") {
 					p.reportf(n.Pos(), "parpolicy",
 						"sync.WaitGroup outside internal/par; parallelism policy lives in internal/par")
 				}

@@ -2,21 +2,15 @@ package lint
 
 // summary.go: per-function effect summaries, propagated bottom-up over
 // the call graph's SCC order (callgraph.go). A summary answers, for one
-// declared function, the questions the interprocedural passes ask at
-// its call sites:
+// declared function, the questions ctxflow and detflow ask at its call
+// sites:
 //
 //   - may it block? (channel ops, selects without default, sync waits,
 //     time.Sleep, network/file I/O — directly or through a same-unit
 //     callee)
-//   - which locks may it acquire, in caller-translatable form?
-//     (receiver-relative keys are canonicalized to "@recv.path" and
-//     re-based onto the call site's receiver expression; package-level
-//     keys pass through; locks on locals and parameters are dropped —
-//     the caller has no name for them)
 //   - does it take a context.Context, and does it actually use it?
-//   - how many HTTP status writes does it perform through each of its
-//     http.ResponseWriter parameters, as a [min, max] range over
-//     non-panic paths?
+//   - which results carry nondeterminism, and which parameters reach a
+//     determinism sink? (taint.go)
 //
 // Calls that resolve inside the unit use the callee's summary; calls
 // that leave it fall back to a small effect table keyed by package
@@ -29,8 +23,8 @@ package lint
 // terminate without panicking — FuzzSummary pins that.
 //
 // All summary domains are finite join-semilattices that only grow
-// (bools, saturating counters, key sets bounded by the keys printed in
-// the package), so the per-SCC fixed-point iteration terminates.
+// (bools, parameter-index sets bounded by the signature), so the
+// per-SCC fixed-point iteration terminates.
 
 import (
 	"fmt"
@@ -40,60 +34,22 @@ import (
 	"strings"
 )
 
-// Lock acquisition kinds, stored as bits so one key can be taken both
-// ways across paths.
-const (
-	lockExcl   = 1 << iota // Mutex.Lock / RWMutex.Lock
-	lockShared             // RWMutex.RLock
-)
-
-// blockEvent is one potentially-blocking operation with its witness.
-type blockEvent struct {
-	pos token.Pos
-	why string
-}
-
-// rwSummary describes the status writes one function performs through
-// one http.ResponseWriter parameter.
-type rwSummary struct {
-	index    int  // parameter position in the flattened list
-	min, max int  // status writes over non-panic paths, saturated at 2
-	unknown  bool // the writer escaped analysis; range unusable
-}
-
 // funcSummary is the effect summary of one declared function.
 type funcSummary struct {
-	node *funcNode
-
 	blocks   bool
 	blockPos token.Pos
 	blockWhy string
-
-	// acquires maps canonical lock keys ("@recv.mu", "pkgMu") to the
-	// lockExcl/lockShared bits seen anywhere inside, transitively
-	// through same-unit callees.
-	acquires map[string]int
 
 	hasCtx  bool
 	ctxName string // "" when the parameter is unnamed or blank
 	ctxPos  token.Pos
 	ctxUsed bool
 
-	rws []rwSummary
-
 	// Determinism-taint bits (taint.go): per-result taint the caller
 	// inherits, and the parameters that reach a determinism sink
 	// inside (transitively) — how detflow sees through helpers.
 	taintRets  []*taintVal
 	sinkParams map[int]sinkRef
-
-	// Float-accumulation bits (floatreduce.go): pointer-to-float
-	// parameters the function accumulates into, and package-level
-	// float variables it accumulates into (transitively through
-	// same-unit callees). Harmless serially; findings only when such
-	// a function runs as a parallel task.
-	accumPtr    map[int]token.Pos
-	accumGlobal map[string]token.Pos
 }
 
 // summaries is the per-unit interprocedural state, built lazily by the
@@ -102,7 +58,6 @@ type summaries struct {
 	p     *pass
 	graph *callGraph
 	by    map[*funcNode]*funcSummary
-	cfgs  map[*funcNode]*cfg
 	// taintEnvs holds each function's final taint environment, built
 	// alongside the summaries (taint.go) and consumed by detflow.
 	taintEnvs map[*funcNode]*taintEnv
@@ -125,7 +80,6 @@ func buildSummaries(p *pass) *summaries {
 		p:               p,
 		graph:           buildCallGraph(p.unit),
 		by:              map[*funcNode]*funcSummary{},
-		cfgs:            map[*funcNode]*cfg{},
 		taintEnvs:       map[*funcNode]*taintEnv{},
 		nonBlockingComm: map[ast.Node]bool{},
 	}
@@ -146,9 +100,6 @@ func buildSummaries(p *pass) *summaries {
 				}
 			}
 		}
-		for _, n := range comp {
-			s.by[n].rws = s.statusSummaries(n)
-		}
 		// Second fixpoint per component: taint return/sink summaries
 		// (taint.go) depend on callee taint summaries, which for
 		// recursive components grow as this loop iterates.
@@ -162,25 +113,6 @@ func buildSummaries(p *pass) *summaries {
 		}
 	}
 	return s
-}
-
-// cfgOf returns the (cached) CFG of a declared function.
-func (s *summaries) cfgOf(n *funcNode) *cfg {
-	c, ok := s.cfgs[n]
-	if !ok {
-		c = buildCFG(n.decl.Body)
-		s.cfgs[n] = c
-	}
-	return c
-}
-
-// summaryOf looks a summary up by declaration; nil for functions the
-// graph does not know (no body).
-func (s *summaries) summaryOf(fd *ast.FuncDecl) *funcSummary {
-	if n := s.graph.byDecl[fd]; n != nil {
-		return s.by[n]
-	}
-	return nil
 }
 
 // markNonBlockingComms records the channel operations inside the comm
@@ -223,21 +155,13 @@ func markNonBlockingComms(f *ast.File, out map[ast.Node]bool) {
 
 // seedSummary computes a function's direct (non-transitive) effects.
 func (s *summaries) seedSummary(n *funcNode) *funcSummary {
-	sum := &funcSummary{
-		node:        n,
-		acquires:    map[string]int{},
-		accumPtr:    map[int]token.Pos{},
-		accumGlobal: map[string]token.Pos{},
-	}
+	sum := &funcSummary{}
 	s.seedCtx(n, sum)
-	recv := recvName(n.decl)
 
 	// One walk over the frame's own code: defer bodies are part of the
 	// frame, other function literals are not.
 	s.eachFrameNode(n.decl.Body, func(m ast.Node) {
 		switch m := m.(type) {
-		case *ast.AssignStmt:
-			s.seedAccum(n, sum, m)
 		case *ast.SendStmt:
 			if !s.nonBlockingComm[m] {
 				sum.noteBlock(m.Pos(), "channel send")
@@ -251,12 +175,6 @@ func (s *summaries) seedSummary(n *funcNode) *funcSummary {
 				sum.noteBlock(m.X.Pos(), "range over channel")
 			}
 		case *ast.CallExpr:
-			if key, kind, ok := s.p.lockMethodKey(m, lockAcquireMethods); ok {
-				if ck, ok := canonicalKey(s.p, key, recv); ok {
-					sum.acquires[ck] |= kind
-				}
-				return
-			}
 			if why, ok := s.blockingExternal(m); ok {
 				sum.noteBlock(m.Pos(), why)
 			}
@@ -276,7 +194,6 @@ func (sum *funcSummary) noteBlock(pos token.Pos, why string) {
 // sync edges, reporting whether anything changed.
 func (s *summaries) joinCallees(n *funcNode) bool {
 	sum := s.by[n]
-	recv := recvName(n.decl)
 	changed := false
 	for _, e := range n.sync {
 		cs := s.by[e.callee]
@@ -287,26 +204,6 @@ func (s *summaries) joinCallees(n *funcNode) bool {
 			sum.noteBlock(e.call.Pos(),
 				fmt.Sprintf("call to %s, which may block (%s)", e.callee.name(), cs.blockWhy))
 			changed = true
-		}
-		for key, kind := range cs.acquires {
-			//lint:ignore detflow lock-key joins are commutative: iteration order cannot change the summary
-			ck, ok := translateKey(s.p, key, e.call, recv)
-			if !ok {
-				continue
-			}
-			if sum.acquires[ck]&kind != kind {
-				sum.acquires[ck] |= kind
-				changed = true
-			}
-		}
-		// A caller of a package-level accumulator is itself one: the
-		// same global gets a scheduling-ordered term if the caller is
-		// ever launched as a task.
-		for key, pos := range cs.accumGlobal {
-			if _, ok := sum.accumGlobal[key]; !ok {
-				sum.accumGlobal[key] = pos
-				changed = true
-			}
 		}
 	}
 	return changed
@@ -342,56 +239,6 @@ func (s *summaries) eachFrameNode(body *ast.BlockStmt, fn func(ast.Node)) {
 		})
 	}
 	walk(body)
-}
-
-// frameBlocking reports the first blocking effect inside one CFG atom,
-// using callee summaries for same-unit calls and the effect table for
-// the frontier. Used by lockbalance's while-held scan.
-func (s *summaries) frameBlocking(atom ast.Node) (token.Pos, string, bool) {
-	var pos token.Pos
-	var why string
-	found := false
-	note := func(p token.Pos, w string) {
-		if !found {
-			pos, why, found = p, w, true
-		}
-	}
-	probe := func(m ast.Node) {
-		switch m := m.(type) {
-		case *ast.SendStmt:
-			if !s.nonBlockingComm[m] {
-				note(m.Pos(), "channel send")
-			}
-		case *ast.UnaryExpr:
-			if m.Op == token.ARROW && !s.nonBlockingComm[m] {
-				note(m.Pos(), "channel receive")
-			}
-		case *ast.RangeStmt:
-			if s.isChanExpr(m.X) {
-				note(m.X.Pos(), "range over channel")
-			}
-		case *ast.CallExpr:
-			if callee := s.graph.calleeOf(s.p.unit, m); callee != nil {
-				if cs := s.by[callee]; cs != nil && cs.blocks {
-					note(m.Pos(), fmt.Sprintf("call to %s, which may block (%s)", callee.name(), cs.blockWhy))
-				}
-				return
-			}
-			if w, ok := s.blockingExternal(m); ok {
-				note(m.Pos(), w)
-			}
-		}
-	}
-	if _, ok := atom.(*ast.DeferStmt); ok {
-		// A deferred call runs at exit, when the lock is (for a
-		// non-deferred release) no longer held; do not scan it.
-		return 0, "", false
-	}
-	inspectShallow(atom, func(m ast.Node) bool {
-		probe(m)
-		return !found
-	})
-	return pos, why, found
 }
 
 // seedCtx records whether the function takes a context.Context and
@@ -457,80 +304,6 @@ func (s *summaries) isChanExpr(e ast.Expr) bool {
 	}
 	_, isChan := tv.Type.Underlying().(*types.Chan)
 	return isChan
-}
-
-// --- lock keys ----------------------------------------------------------
-
-// lockAcquireMethods / lockReleaseMethods map method names to kinds.
-var lockAcquireMethods = map[string]int{"Lock": lockExcl, "RLock": lockShared}
-var lockReleaseMethods = map[string]int{"Unlock": lockExcl, "RUnlock": lockShared}
-
-// lockMethodKey resolves call as a sync.Mutex/sync.RWMutex method from
-// the given name set, returning the printed receiver expression that
-// keys Lock/Unlock matching. An unresolved selector (embedded locker,
-// field of an error type) stays quiet rather than guess.
-func (p *pass) lockMethodKey(call *ast.CallExpr, methods map[string]int) (string, int, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", 0, false
-	}
-	kind, ok := methods[sel.Sel.Name]
-	if !ok {
-		return "", 0, false
-	}
-	fn, ok := p.unit.Info.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return "", 0, false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil ||
-		!(isSyncType(sig.Recv().Type(), "Mutex") || isSyncType(sig.Recv().Type(), "RWMutex")) {
-		return "", 0, false
-	}
-	return types.ExprString(sel.X), kind, true
-}
-
-// recvName returns the receiver identifier of a method declaration, or
-// "" for functions and unnamed receivers.
-func recvName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return ""
-	}
-	return fd.Recv.List[0].Names[0].Name
-}
-
-// canonicalKey rewrites a frame-local lock key into caller-translatable
-// form: keys rooted at the receiver become "@recv...", keys rooted at a
-// package-level variable pass through, everything else (locals,
-// parameters) is dropped — callers have no stable name for those.
-func canonicalKey(p *pass, key, recv string) (string, bool) {
-	base, rest, _ := strings.Cut(key, ".")
-	if recv != "" && base == recv {
-		if rest == "" {
-			return "@recv", true
-		}
-		return "@recv." + rest, true
-	}
-	// Keep the key only when its base resolves to a package-level var.
-	obj := p.unit.Pkg.Scope().Lookup(base)
-	if _, ok := obj.(*types.Var); ok {
-		return key, true
-	}
-	return "", false
-}
-
-// translateKey rebases a callee's canonical key onto the caller's
-// frame at one call site, then re-canonicalizes it for the caller.
-func translateKey(p *pass, key string, call *ast.CallExpr, callerRecv string) (string, bool) {
-	if !strings.HasPrefix(key, "@recv") {
-		return key, true // package-level: same var in the same package
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", false // f() with receiver-relative effects: untranslatable
-	}
-	base := types.ExprString(sel.X)
-	return canonicalKey(p, base+key[len("@recv"):], callerRecv)
 }
 
 // --- the external effect table ------------------------------------------

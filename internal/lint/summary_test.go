@@ -1,11 +1,10 @@
 package lint
 
 // White-box tests for the interprocedural substrate: call-graph SCC
-// ordering, summary propagation, lock-key canonicalization, the
-// behaviour on ill-typed units (every check must treat a missing Info
-// entry as "unknown"), and FuzzSummary, which asserts the builder's
-// invariants on arbitrary parseable input and that every
-// interprocedural pass survives it.
+// ordering, summary propagation, the behaviour on ill-typed units
+// (every check must treat a missing Info entry as "unknown"), and
+// FuzzSummary, which asserts the builder's invariants on arbitrary
+// parseable input and that ctxflow survives it.
 
 import (
 	"go/ast"
@@ -18,11 +17,12 @@ import (
 )
 
 // One file set and one source importer serve every typed pass the
-// white-box tests and fuzz targets build, so a standard-library
-// package is type-checked from source once per test binary.
+// white-box tests and fuzz targets build, and the fixture-tree run
+// (export_test.go), so a standard-library package is type-checked from
+// source once per test binary.
 var (
 	typedFset = token.NewFileSet()
-	typedImp  = importer.ForCompiler(typedFset, "source", nil)
+	typedImp  = importer.ForCompiler(typedFset, "source", nil).(types.ImporterFrom)
 	typedMu   sync.Mutex // the source importer is not safe for concurrent use
 )
 
@@ -127,27 +127,6 @@ func pure() { _ = 1 + 2 }
 	}
 }
 
-func TestSummaryLockKeyCanonicalization(t *testing.T) {
-	p := parsePass(t, `package p
-import "sync"
-type S struct{ mu sync.Mutex }
-func (s *S) low() { s.mu.Lock(); s.mu.Unlock() }
-func (z *S) outer() { z.low() }
-func local() { var mu sync.Mutex; mu.Lock(); mu.Unlock() }
-`)
-	s := p.summaries()
-	low := declSummary(t, s, "low")
-	if low.acquires["@recv.mu"] != lockExcl {
-		t.Errorf("low acquires = %v, want @recv.mu excl", low.acquires)
-	}
-	// The callee's @recv key must survive translation through z.low()
-	// even though the receiver is named differently in each frame.
-	outer := declSummary(t, s, "outer")
-	if outer.acquires["@recv.mu"] != lockExcl {
-		t.Errorf("outer acquires = %v, want @recv.mu excl via z.low()", outer.acquires)
-	}
-}
-
 func TestSummaryCtxDetection(t *testing.T) {
 	p := parsePass(t, `package p
 import "context"
@@ -186,28 +165,12 @@ func park() { select { case <-ch: } }
 	}
 }
 
-// TestLockbalanceBalancedBodies pins the fuzz target's central
-// property deterministically: balanced synthetic bodies, plain and
-// deferred, produce no findings.
-func TestLockbalanceBalancedBodies(t *testing.T) {
-	p := parsePass(t, `package p
-import "sync"
-var mu sync.Mutex
-func balanced() { mu.Lock(); mu.Unlock() }
-func deferred() { mu.Lock(); defer mu.Unlock(); _ = 1 }
-`)
-	runLockbalance(p)
-	if len(*p.diags) != 0 {
-		t.Errorf("balanced bodies produced findings: %v", *p.diags)
-	}
-}
-
 // illTypedSrc holds one of each type error the checks must read as
 // "unknown" rather than guess at: a par launch with no import, an
 // import path that does not resolve, a method call on an undefined
 // type, and a call to an undeclared function. Matched by spelling,
-// the first two would be a floatreduce and a seedrand finding and the
-// third a call edge to T.Method, which blocks.
+// the first would be a par launcher call, the second a seedrand
+// finding and the third a call edge to T.Method, which blocks.
 const illTypedSrc = `package p
 
 import (
@@ -284,22 +247,6 @@ func checkSummaryInvariants(tb testing.TB, s *summaries) {
 		if sum.blocks && !sum.blockPos.IsValid() {
 			tb.Fatalf("%s: blocks without a witness position", n.name())
 		}
-		for key, kind := range sum.acquires {
-			if key == "" {
-				tb.Fatalf("%s: empty lock key", n.name())
-			}
-			if kind == 0 || kind&^(lockExcl|lockShared) != 0 {
-				tb.Fatalf("%s: lock kind %d outside the lattice", n.name(), kind)
-			}
-		}
-		for _, rw := range sum.rws {
-			if rw.unknown {
-				continue
-			}
-			if rw.min < 0 || rw.max > 2 || rw.min > rw.max {
-				tb.Fatalf("%s: rw range [%d, %d] malformed", n.name(), rw.min, rw.max)
-			}
-		}
 		for _, e := range n.sync {
 			if e.callee.scc > n.scc {
 				tb.Fatalf("sync edge %s -> %s breaks SCC order", n.name(), e.callee.name())
@@ -340,9 +287,7 @@ func FuzzSummary(f *testing.F) {
 				t.Fatalf("%s: rebuild changed the blocking bit", n.name())
 			}
 		}
-		// Every interprocedural pass must survive arbitrary input.
-		runLockbalance(p)
+		// The summary-driven pass must survive arbitrary input.
 		runCtxflow(p)
-		runHttpwrite(p)
 	})
 }

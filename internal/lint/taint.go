@@ -293,11 +293,7 @@ func (e *taintEnv) seed() {
 	// Writes to captured scalars from task goroutines: the scheduler
 	// decides which write lands last, so the value it leaves behind is
 	// tainted everywhere.
-	for _, site := range taskSites(e.s.p, e.n.decl.Body) {
-		if site.lit == nil {
-			continue
-		}
-		lit := site.lit
+	for _, lit := range taskLits(e.s.p, e.n.decl.Body) {
 		ast.Inspect(lit.Body, func(m ast.Node) bool {
 			a, ok := m.(*ast.AssignStmt)
 			if !ok {
@@ -305,7 +301,7 @@ func (e *taintEnv) seed() {
 			}
 			for _, lhs := range a.Lhs {
 				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok || !e.capturedBy(lit, id) {
+				if !ok || !capturedByLit(e.s.p, lit, id) {
 					continue
 				}
 				e.taintLHS(id, &taintVal{fact: &taintFact{
@@ -680,13 +676,9 @@ func (e *taintEnv) deriveRets() []*taintVal {
 	return rets
 }
 
-// capturedBy reports whether the identifier refers to a variable
+// capturedByLit reports whether the identifier refers to a variable
 // declared outside the function literal (captured state shared with
 // the launching frame, or package level).
-func (e *taintEnv) capturedBy(lit *ast.FuncLit, id *ast.Ident) bool {
-	return capturedByLit(e.s.p, lit, id)
-}
-
 func capturedByLit(p *pass, lit *ast.FuncLit, id *ast.Ident) bool {
 	if id == nil || id.Name == "_" {
 		return false
@@ -729,6 +721,23 @@ func (e *taintEnv) isSyncMapRange(call *ast.CallExpr) bool {
 }
 
 // --- shared call matchers ------------------------------------------------
+
+// pkgFuncName resolves a call to (package path, function name) for
+// package-level functions, via types.
+func pkgFuncName(p *pass, call *ast.CallExpr) (string, string, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", "", false
+	}
+	fn, ok := p.unit.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return "", "", false
+	}
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		return "", "", false
+	}
+	return fn.Pkg().Path(), fn.Name(), true
+}
 
 // pkgCallName resolves a call (through go/types) to a package-level
 // function of pkgPath, returning its name when it is one of names.
@@ -875,16 +884,6 @@ func sinkForPkg(pkgPath, name string) (string, bool) {
 
 // --- task launch sites ---------------------------------------------------
 
-// taskSite is one place a function hands work to another goroutine: a
-// go statement or a func argument to a module par launcher.
-type taskSite struct {
-	lit *ast.FuncLit  // the task body, when launched as a literal
-	arg ast.Expr      // the launched expression (named funcs included)
-	pos token.Pos     // launch site
-	via string        // "go statement" or the launcher call's name
-	par *ast.CallExpr // the launcher call, nil for go statements
-}
-
 // parLauncherNames are the fan-out entry points of the module's par
 // package.
 var parLauncherNames = map[string]bool{
@@ -892,39 +891,30 @@ var parLauncherNames = map[string]bool{
 	"Submit": true, "TrySubmit": true, "Background": true, "Go": true,
 }
 
-// taskSites collects every goroutine launch under root: go statements
-// and func-valued arguments to internal/par launchers.
-func taskSites(p *pass, root ast.Node) []taskSite {
-	var sites []taskSite
+// taskLits collects, in source order, every function literal under
+// root that runs as a task on another goroutine: the body of a go
+// statement, or a literal argument to an internal/par launcher.
+func taskLits(p *pass, root ast.Node) []*ast.FuncLit {
+	var lits []*ast.FuncLit
 	ast.Inspect(root, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.GoStmt:
-			site := taskSite{arg: m.Call.Fun, pos: m.Pos(), via: "go statement"}
 			if lit, ok := ast.Unparen(m.Call.Fun).(*ast.FuncLit); ok {
-				site.lit = lit
+				lits = append(lits, lit)
 			}
-			sites = append(sites, site)
 		case *ast.CallExpr:
 			if !isParLauncher(p, m) {
 				return true
 			}
 			for _, a := range m.Args {
-				au := ast.Unparen(a)
-				if lit, ok := au.(*ast.FuncLit); ok {
-					sites = append(sites, taskSite{lit: lit, arg: a, pos: m.Pos(), via: launcherName(m), par: m})
-					continue
-				}
-				switch au.(type) {
-				case *ast.Ident, *ast.SelectorExpr:
-					if isFuncValued(p, au) {
-						sites = append(sites, taskSite{arg: au, pos: m.Pos(), via: launcherName(m), par: m})
-					}
+				if lit, ok := ast.Unparen(a).(*ast.FuncLit); ok {
+					lits = append(lits, lit)
 				}
 			}
 		}
 		return true
 	})
-	return sites
+	return lits
 }
 
 // isParLauncher matches calls into a module-internal package named
@@ -942,21 +932,4 @@ func isParLauncher(p *pass, call *ast.CallExpr) bool {
 	path := fn.Pkg().Path()
 	inModule := path == p.modPath || strings.HasPrefix(path, p.modPath+"/")
 	return inModule && (strings.HasSuffix(path, "/par") || path == "par")
-}
-
-func launcherName(call *ast.CallExpr) string {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return "par." + sel.Sel.Name
-	}
-	return "par launcher"
-}
-
-// isFuncValued reports whether the expression has function type.
-func isFuncValued(p *pass, e ast.Expr) bool {
-	tv, ok := p.unit.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	_, isSig := tv.Type.Underlying().(*types.Signature)
-	return isSig
 }

@@ -1,10 +1,9 @@
 package lint
 
 // White-box tests for the determinism-taint engine (taint.go): return
-// taint, sanitizers, sink-through-callee summaries, and the float
-// accumulation summaries floatreduce consumes — plus FuzzTaint, which
-// asserts the engine's invariants on arbitrary parseable input and
-// that both taint passes survive it.
+// taint, sanitizers and sink-through-callee summaries — plus FuzzTaint,
+// which asserts the engine's invariants on arbitrary parseable input
+// and that detflow survives it.
 
 import "testing"
 
@@ -75,56 +74,6 @@ func pure(b []byte) int { return len(b) }
 	}
 }
 
-func TestFloatAccumSummaries(t *testing.T) {
-	p := parsePass(t, `package p
-var total float64
-func addTo(p *float64, v float64) { *p += v }
-func bump(v float64) { total += v }
-func chain(v float64) { bump(v) }
-func local(v float64) { acc := 0.0; acc += v; _ = acc }
-`)
-	s := p.summaries()
-	if sum := declSummary(t, s, "addTo"); len(sum.accumPtr) != 1 {
-		t.Errorf("addTo: accumPtr = %v, want param 0", sum.accumPtr)
-	}
-	if sum := declSummary(t, s, "bump"); len(sum.accumGlobal) != 1 {
-		t.Errorf("bump: accumGlobal = %v, want total", sum.accumGlobal)
-	}
-	// Reaching a global accumulator through a callee is still a
-	// summary fact: launching chain as a task is as bad as bump.
-	if sum := declSummary(t, s, "chain"); len(sum.accumGlobal) != 1 {
-		t.Errorf("chain: accumGlobal = %v, want total via bump", sum.accumGlobal)
-	}
-	if sum := declSummary(t, s, "local"); len(sum.accumPtr)+len(sum.accumGlobal) != 0 {
-		t.Errorf("local: spurious accumulation summary (%v, %v)", sum.accumPtr, sum.accumGlobal)
-	}
-}
-
-// TestFloatreduceCapturedScalarOnly: a task's += into a captured
-// scalar is flagged; a per-index += into a captured slice is not.
-func TestFloatreduceCapturedScalarOnly(t *testing.T) {
-	p := parsePass(t, `package p
-func sum(v []float64) float64 {
-	s := 0.0
-	done := make(chan bool)
-	go func() { s += v[0]; done <- true }()
-	<-done
-	return s
-}
-func perIndex(v []float64) {
-	out := make([]float64, len(v))
-	go func() { out[0] += v[0] }()
-}
-`)
-	runFloatreduce(p)
-	if len(*p.diags) != 1 {
-		t.Fatalf("got %d findings, want 1 (captured scalar only): %v", len(*p.diags), *p.diags)
-	}
-	if (*p.diags)[0].Line != 5 {
-		t.Errorf("finding at line %d, want 5", (*p.diags)[0].Line)
-	}
-}
-
 // checkTaintInvariants asserts what the taint fixpoint guarantees for
 // any parseable input.
 func checkTaintInvariants(tb testing.TB, s *summaries) {
@@ -145,16 +94,6 @@ func checkTaintInvariants(tb testing.TB, s *summaries) {
 		for pi, ref := range sum.sinkParams {
 			if pi < 0 || ref.what == "" {
 				tb.Fatalf("%s: malformed sinkParams entry %d -> %q", n.name(), pi, ref.what)
-			}
-		}
-		for pi := range sum.accumPtr {
-			if pi < 0 {
-				tb.Fatalf("%s: negative accumPtr index", n.name())
-			}
-		}
-		for key := range sum.accumGlobal {
-			if key == "" {
-				tb.Fatalf("%s: empty accumGlobal key", n.name())
 			}
 		}
 		if env := s.taintEnvs[n]; env != nil {
@@ -207,8 +146,7 @@ func FuzzTaint(f *testing.F) {
 				t.Fatalf("%s: rebuild changed the findings", n.name())
 			}
 		}
-		// Both taint passes must survive arbitrary input.
+		// The taint pass must survive arbitrary input.
 		runDetflow(p)
-		runFloatreduce(p)
 	})
 }

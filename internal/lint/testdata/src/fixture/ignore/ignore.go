@@ -1,6 +1,6 @@
-// Package ignore is a lint fixture for the //lint:ignore directive:
-// the first two violations are silenced, the third is not, and the
-// malformed directive is itself a finding.
+// Package ignore is a lint fixture for the //lint:ignore directive: the
+// first two violations are silenced, the third is not, and a malformed
+// directive or one naming an unregistered check is itself a finding.
 package ignore
 
 func above(x, y float64) bool {
@@ -19,4 +19,9 @@ func unsilenced(x, y float64) bool {
 func malformed(x, y float64) bool {
 	//lint:ignore floatcmp
 	return x == y // want floatcmp (directive above lacks a reason)
+}
+
+func misspelled(x, y float64) bool {
+	//lint:ignore floatcmp,floatcmpp fixture: the registered name silences, the misspelled one is a finding
+	return x == y
 }
