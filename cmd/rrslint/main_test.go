@@ -267,14 +267,23 @@ func TestJSONGolden(t *testing.T) {
 	}
 }
 
-// TestSARIFOutput pins the -format=sarif envelope: schema, one rule
-// per registered check, one result per finding with a physical
-// location.
+// TestSARIFOutput pins the SARIF envelope that cmd/rrslint/sarif makes
+// of a -json report: schema, one rule per registered check, one result
+// per finding with a physical location.
 func TestSARIFOutput(t *testing.T) {
 	chdir(t, writeModule(t, map[string]string{"dirty.go": dirtySrc}))
-	var out, errb bytes.Buffer
-	if code := run([]string{"-checks", selected, "-format", "sarif", "./..."}, &out, &errb); code != 1 {
+	var report, errb bytes.Buffer
+	if code := run([]string{"-checks", selected, "-json", "./..."}, &report, &errb); code != 1 {
 		t.Fatalf("exit %d, want 1\nstderr: %s", code, errb.String())
+	}
+	// cmd/rrslint/sarif's conversion.
+	var res lint.Result
+	if err := json.Unmarshal(report.Bytes(), &res); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := lint.WriteSARIF(&out, res.Diagnostics); err != nil {
+		t.Fatal(err)
 	}
 	var log struct {
 		Version string `json:"version"`

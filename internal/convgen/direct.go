@@ -24,16 +24,27 @@ import (
 // The taps and MAC-row kernel come from the call's lane (the float32
 // or float64 simd wrapper, picked once per call), so the hot loop
 // performs no interface boxing.
+//
+// A single-worker call (every tile of a tiled render) runs the rows
+// directly: a closure handed to par.For escapes, and building one per
+// call would cost a heap allocation per tile and component.
 func convDirect[F simd.Float](g *Generator, l *lane[F], dst []F, stride, nx, ny int, noise []F, wx, workers int) {
+	if workers == 1 {
+		convRows(g, l, dst, stride, nx, noise, wx, 0, ny)
+		return
+	}
+	par.For(ny, workers, func(lo, hi int) { convRows(g, l, dst, stride, nx, noise, wx, lo, hi) })
+}
+
+// convRows is convDirect over output rows [lo, hi).
+func convRows[F simd.Float](g *Generator, l *lane[F], dst []F, stride, nx int, noise []F, wx, lo, hi int) {
 	knx, kny := g.kernel.Nx, g.kernel.Ny
-	par.For(ny, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			row := dst[j*stride : j*stride+nx]
-			clear(row)
-			for b := 0; b < kny; b++ {
-				off := (j + b) * wx
-				l.macRow(l.taps[b*knx:(b+1)*knx], noise[off:off+knx-1+nx], row)
-			}
+	for j := lo; j < hi; j++ {
+		row := dst[j*stride : j*stride+nx]
+		clear(row)
+		for b := 0; b < kny; b++ {
+			off := (j + b) * wx
+			l.macRow(l.taps[b*knx:(b+1)*knx], noise[off:off+knx-1+nx], row)
 		}
-	})
+	}
 }

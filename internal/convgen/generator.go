@@ -122,6 +122,14 @@ func convert[F simd.Float](dst []F, src []float64) {
 	}
 }
 
+// narrowRows converts the window's noise rows [lo, hi), wx samples
+// each, from the plane into noise at precision F.
+func narrowRows[F simd.Float](noise []F, plane planeView, wx, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		convert(noise[r*wx:(r+1)*wx], plane.row(r, wx))
+	}
+}
+
 // NewGenerator wraps a kernel and a noise field seed.
 func NewGenerator(k *Kernel, seed uint64) *Generator {
 	g := &Generator{kernel: k, field: rng.NewField(seed)}
@@ -194,15 +202,15 @@ func (g *Generator) GenerateAtInto32(dst []float32, stride int, i0, j0 int64, nx
 // kernel, noise fill, scratch pool) differs.
 func RenderInto[F simd.Float](g *Generator, dst []F, stride int, i0, j0 int64, nx, ny, workers int) {
 	checkWindow(len(dst), stride, nx, ny)
-	render(g, dst, stride, i0, j0, nx, ny, workers, nil)
+	render(g, dst, stride, i0, j0, nx, ny, workers, planeView{})
 }
 
 // render is the engine body behind RenderInto and ConvolvePlaneInto.
-// Its noise comes from plane when that is non-nil and from the
+// Its noise comes from plane when that holds data and from the
 // generator's field otherwise; the values are the same either way. A
 // float64 direct render reads the plane in place; a float32 one
 // narrows its noise window from it, as Field.FillRow32 would.
-func render[F simd.Float](g *Generator, dst []F, stride int, i0, j0 int64, nx, ny, workers int, plane *planeView) {
+func render[F simd.Float](g *Generator, dst []F, stride int, i0, j0 int64, nx, ny, workers int, plane planeView) {
 	if workers == 0 {
 		workers = g.Workers
 	}
@@ -210,7 +218,7 @@ func render[F simd.Float](g *Generator, dst []F, stride int, i0, j0 int64, nx, n
 	ar := l.arenas.Get().(*genArena[F])
 	switch g.engineFor(nx, ny) {
 	case EngineDirect:
-		if plane != nil {
+		if plane.data != nil {
 			if noise, ok := any(plane.data[plane.off:]).([]F); ok {
 				convDirect(g, l, dst, stride, nx, ny, noise, plane.pnx, workers)
 				break
@@ -218,12 +226,13 @@ func render[F simd.Float](g *Generator, dst []F, stride int, i0, j0 int64, nx, n
 		}
 		ni0, nj0, wx, wy := g.kernel.NoiseWindow(i0, j0, nx, ny)
 		ar.noise = grow(ar.noise, wx*wy)
-		if plane != nil {
-			par.For(wy, workers, func(lo, hi int) {
-				for r := lo; r < hi; r++ {
-					convert(ar.noise[r*wx:(r+1)*wx], plane.row(r, wx))
-				}
-			})
+		if plane.data != nil {
+			// Serially without a closure, as convDirect does.
+			if workers == 1 {
+				narrowRows(ar.noise, plane, wx, 0, wy)
+			} else {
+				par.For(wy, workers, func(lo, hi int) { narrowRows(ar.noise, plane, wx, lo, hi) })
+			}
 		} else {
 			FillPlane(g, ar.noise, wx, ni0, nj0, workers)
 		}
@@ -286,7 +295,7 @@ func (g *Generator) engineFor(nx, ny int) Engine {
 // The padded size per axis is the next power of two at or above the
 // noise window, which is always at least output+kernel−1, so no
 // circular wrap reaches the extracted samples. The noise rows come from
-// plane when it is non-nil and from the field otherwise, with the same
+// plane when it holds data and from the field otherwise, with the same
 // values.
 // The kernel half-spectrum is cached per padded size; plans come from
 // the worker-keyed process cache, so steady state builds no tables and
@@ -296,7 +305,7 @@ func (g *Generator) engineFor(nx, ny int) Engine {
 // transform stack would buy little (DESIGN.md §13). It returns the
 // arena's pad plus its row stride; rows [0, ny) of the valid region
 // start at pad[j*px].
-func (g *Generator) convolveFFT(nx, ny int, sc *fftScratch, i0, j0 int64, workers int, plane *planeView) ([]float64, int) {
+func (g *Generator) convolveFFT(nx, ny int, sc *fftScratch, i0, j0 int64, workers int, plane planeView) ([]float64, int) {
 	k := g.kernel
 	wx := nx + k.Nx - 1
 	wy := ny + k.Ny - 1
@@ -319,7 +328,7 @@ func (g *Generator) convolveFFT(nx, ny int, sc *fftScratch, i0, j0 int64, worker
 	par.For(wy, workers, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			row := pad[j*px : (j+1)*px]
-			if plane != nil {
+			if plane.data != nil {
 				copy(row[:wx], plane.row(j, wx))
 			} else {
 				g.field.FillRow(row[:wx], i0-int64(k.CX), j0-int64(k.CY)+int64(j))

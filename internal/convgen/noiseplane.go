@@ -18,7 +18,8 @@ func (k *Kernel) NoiseWindow(i0, j0 int64, nx, ny int) (ni0, nj0 int64, wnx, wny
 
 // planeView is a window's noise source inside a caller's plane: the
 // plane holds Field.FillRow output at row stride pnx, and the window's
-// first noise sample sits at data[off].
+// first noise sample sits at data[off]. The zero view (nil data) means
+// no plane: the render draws its own noise.
 type planeView struct {
 	data []float64
 	pnx  int
@@ -26,7 +27,7 @@ type planeView struct {
 }
 
 // row returns the first n noise samples of the window's noise row r.
-func (v *planeView) row(r, n int) []float64 {
+func (v planeView) row(r, n int) []float64 {
 	o := v.off + r*v.pnx
 	return v.data[o : o+n]
 }
@@ -36,7 +37,7 @@ func (v *planeView) row(r, n int) []float64 {
 // for the lattice rectangle [pi0, pi0+pnx) × [pj0, …), row-major at
 // stride pnx; it must cover the kernel's NoiseWindow for the requested
 // output window.
-func (g *Generator) planeArgs(dstLen, stride int, plane []float64, pnx int, pi0, pj0, i0, j0 int64, nx, ny int) *planeView {
+func (g *Generator) planeArgs(dstLen, stride int, plane []float64, pnx int, pi0, pj0, i0, j0 int64, nx, ny int) planeView {
 	checkWindow(dstLen, stride, nx, ny)
 	if pnx < 1 || len(plane)%pnx != 0 {
 		panic(fmt.Sprintf("convgen: noise plane of %d samples is not whole rows of %d", len(plane), pnx))
@@ -48,7 +49,7 @@ func (g *Generator) planeArgs(dstLen, stride int, plane []float64, pnx int, pi0,
 		panic(fmt.Sprintf("convgen: noise plane %dx%d at (%d,%d) does not cover window %dx%d at (%d,%d) (needs %dx%d at (%d,%d))",
 			pnx, pny, pi0, pj0, nx, ny, i0, j0, wnx, wny, ni0, nj0))
 	}
-	return &planeView{data: plane, pnx: pnx, off: int(offY)*pnx + int(offX)}
+	return planeView{data: plane, pnx: pnx, off: int(offY)*pnx + int(offX)}
 }
 
 // FillPlane fills a noise plane of whole rows of pnx samples with the

@@ -33,13 +33,14 @@ type Blender interface {
 	// BlendWeights fills w (length M) with the mixing weights of
 	// physical point (x, y). Weights are nonnegative and sum to 1.
 	BlendWeights(w []float64, x, y float64)
-	// SupportMask reports, per component, whether its blend weight may
-	// be nonzero anywhere in the axis-aligned rectangle [x0,x1]×[y0,y1].
-	// The contract is a conservative over-approximation — false
-	// guarantees the weight is identically zero throughout the
-	// rectangle; true carries no guarantee. The tiled render skips a
-	// component on every tile whose mask leaves it out.
-	SupportMask(x0, y0, x1, y1 float64) []bool
+	// SupportMask sets mask[m] (length M, caller-owned) to whether
+	// component m's blend weight may be nonzero anywhere in the
+	// axis-aligned rectangle [x0,x1]×[y0,y1]. The contract is a
+	// conservative over-approximation — false guarantees the weight is
+	// identically zero throughout the rectangle; true carries no
+	// guarantee. The tiled render skips a component on every tile whose
+	// mask leaves it out.
+	SupportMask(mask []bool, x0, y0, x1, y1 float64)
 }
 
 // SupportRanger is an optional Region refinement used by
@@ -255,8 +256,7 @@ func (b *PlateBlender) BlendWeights(w []float64, x, y float64) {
 // per-region lower bounds, so only when that sum is zero could the
 // uniform fallback fire somewhere in the rectangle — then every
 // component must be treated as active.
-func (b *PlateBlender) SupportMask(x0, y0, x1, y1 float64) []bool {
-	mask := make([]bool, len(b.Regions))
+func (b *PlateBlender) SupportMask(mask []bool, x0, y0, x1, y1 float64) {
 	var sumLo float64
 	for i, r := range b.Regions {
 		lo, hi := supportRange(r, x0, y0, x1, y1)
@@ -268,7 +268,6 @@ func (b *PlateBlender) SupportMask(x0, y0, x1, y1 float64) []bool {
 			mask[i] = true
 		}
 	}
-	return mask
 }
 
 // Point is one representative point of the point-oriented method,
@@ -388,8 +387,8 @@ func dist2(p Point, x, y float64) float64 {
 // point i's nearest-approach distance and the nearest-point distance
 // |n−p*| is at most min_j (farthest-corner distance to p_j); comparing
 // those bounds can only over-report activity, never miss it.
-func (b *PointBlender) SupportMask(x0, y0, x1, y1 float64) []bool {
-	mask := make([]bool, b.numComponents)
+func (b *PointBlender) SupportMask(mask []bool, x0, y0, x1, y1 float64) {
+	clear(mask)
 	reach := math.Inf(1)
 	for _, p := range b.Points {
 		_, dmax := rectDistRange(x0, y0, x1, y1, p.X, p.Y)
@@ -401,7 +400,6 @@ func (b *PointBlender) SupportMask(x0, y0, x1, y1 float64) []bool {
 			mask[p.Component] = true
 		}
 	}
-	return mask
 }
 
 // UniformBlender assigns all weight to a single component everywhere —
@@ -423,8 +421,7 @@ func (b UniformBlender) BlendWeights(w []float64, x, y float64) {
 }
 
 // SupportMask implements Blender: only Index is ever active.
-func (b UniformBlender) SupportMask(x0, y0, x1, y1 float64) []bool {
-	mask := make([]bool, b.M)
+func (b UniformBlender) SupportMask(mask []bool, x0, y0, x1, y1 float64) {
+	clear(mask)
 	mask[b.Index] = true
-	return mask
 }

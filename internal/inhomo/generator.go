@@ -208,7 +208,7 @@ func (g *Generator) tileMasks(tiles []grid.Tile, i0, j0 int64) [][]bool {
 		x1 := float64(ti0+int64(tile.Nx-1)) * g.dx
 		y1 := float64(tj0+int64(tile.Ny-1)) * g.dy
 		masks[t] = slab[t*len(g.kernels) : (t+1)*len(g.kernels)]
-		copy(masks[t], g.blender.SupportMask(x0, y0, x1, y1))
+		g.blender.SupportMask(masks[t], x0, y0, x1, y1)
 	}
 	return masks
 }

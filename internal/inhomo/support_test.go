@@ -60,7 +60,8 @@ func FuzzSupportMaskPlate(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		mask := b.SupportMask(qx0, qy0, qx1, qy1)
+		mask := make([]bool, len(regions))
+		b.SupportMask(mask, qx0, qy0, qx1, qy1)
 		x := clampInto(px, qx0, qx1)
 		y := clampInto(py, qy0, qy1)
 		w := make([]float64, len(regions))
@@ -97,7 +98,8 @@ func FuzzSupportMaskPoint(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		mask := b.SupportMask(qx0, qy0, qx1, qy1)
+		mask := make([]bool, 3)
+		b.SupportMask(mask, qx0, qy0, qx1, qy1)
 		x := clampInto(px, qx0, qx1)
 		y := clampInto(py, qy0, qy1)
 		w := make([]float64, 3)
@@ -167,11 +169,11 @@ type recordingMasker struct {
 	points [][2]float64
 }
 
-func (r *recordingMasker) SupportMask(x0, y0, x1, y1 float64) []bool {
+func (r *recordingMasker) SupportMask(mask []bool, x0, y0, x1, y1 float64) {
 	r.mu.Lock()
 	r.rects = append(r.rects, [4]float64{x0, y0, x1, y1})
 	r.mu.Unlock()
-	return r.PlateBlender.SupportMask(x0, y0, x1, y1)
+	r.PlateBlender.SupportMask(mask, x0, y0, x1, y1)
 }
 
 func (r *recordingMasker) BlendWeights(w []float64, x, y float64) {
@@ -228,6 +230,36 @@ func TestTileMasksCoverBlendSamples(t *testing.T) {
 			}
 			if !inside {
 				t.Fatalf("f32=%v: blend sample (%v, %v) lies outside every queried rectangle", f32, p[0], p[1])
+			}
+		}
+	}
+}
+
+// TestSupportMaskOverwritesBuffer: every blender writes each entry of
+// the caller's mask, so a reused buffer holding a previous tile's mask
+// reads exactly as a fresh one.
+func TestSupportMaskOverwritesBuffer(t *testing.T) {
+	plates, err := NewPlateBlender([]Region{
+		Rect{X0: math.Inf(-1), Y0: math.Inf(-1), X1: 0, Y1: math.Inf(1), T: 2},
+		Rect{X0: 0, Y0: math.Inf(-1), X1: math.Inf(1), Y1: math.Inf(1), T: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := NewPointBlender([]Point{{X: -20, Y: 0, Component: 0}, {X: 20, Y: 0, Component: 1}}, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string]Blender{"plate": plates, "point": points, "uniform": UniformBlender{M: 2, Index: 1}} {
+		for _, x0 := range []float64{-40, 30} {
+			fresh := make([]bool, 2)
+			b.SupportMask(fresh, x0, -5, x0+5, 5)
+			for _, prior := range []bool{false, true} {
+				dirty := []bool{prior, prior}
+				b.SupportMask(dirty, x0, -5, x0+5, 5)
+				if dirty[0] != fresh[0] || dirty[1] != fresh[1] {
+					t.Errorf("%s at x0=%g: reused buffer (prior %v) reads %v, fresh %v", name, x0, prior, dirty, fresh)
+				}
 			}
 		}
 	}

@@ -291,3 +291,41 @@ func TestConcurrentGenerateAt(t *testing.T) {
 		}
 	}
 }
+
+// TestTiledRenderAllocs bounds the tiled engine's steady-state heap
+// allocations at one per tile, at both precisions, on the 3-plate scene
+// of BenchmarkInhomoFastVsReference/plates3/tiled (576², 32² tiles, 324
+// tiles). Tile masks are written into one slab, plane views are values
+// and single-worker tile renders build no closures; what remains is per
+// band (plane fill, tile scheduling), not per tile.
+func TestTiledRenderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by -race instrumentation")
+	}
+	inf := math.Inf(1)
+	plates := mustPlateBlender(t, []Region{
+		Rect{X0: -inf, Y0: -inf, X1: -96, Y1: inf, T: 4},
+		Rect{X0: -96, Y0: -inf, X1: 96, Y1: inf, T: 4},
+		Rect{X0: 96, Y0: -inf, X1: inf, Y1: inf, T: 4},
+	})
+	ks := []*convgen.Kernel{
+		convgen.MustDesign(spectrum.MustGaussian(1, 1.5, 1.5), 1, 1, 6, 1e-3),
+		convgen.MustDesign(spectrum.MustExponential(2, 1.5, 1.5), 1, 1, 6, 1e-3),
+		convgen.MustDesign(spectrum.MustGaussian(0.5, 1.5, 1.5), 1, 1, 6, 1e-3),
+	}
+	const n, tile = 576, 32
+	tiles := (n / tile) * (n / tile)
+	gen := MustGenerator(ks, plates, 1)
+	gen.TileSize = tile
+	dst := grid.New(n, n)
+	dst32 := grid.NewOf[float32](n, n)
+	for name, render := range map[string]func(){
+		"f64": func() { gen.GenerateAtInto(dst, -n/2, -n/2) },
+		"f32": func() { gen.GenerateAtInto32(dst32, -n/2, -n/2) },
+	} {
+		render() // warm the arena pools
+		if a := testing.AllocsPerRun(3, render); a > float64(tiles) {
+			t.Errorf("%s: %.0f allocations per render, want at most one per tile (%d)", name, a, tiles)
+		}
+	}
+}

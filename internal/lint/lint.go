@@ -164,10 +164,11 @@ type CheckTiming struct {
 }
 
 // Result is what RunTimed returns: the surviving diagnostics plus the
-// per-check timing breakdown (sorted by check name).
+// per-check timing breakdown (sorted by check name). Its JSON form is
+// rrslint's -json report, which cmd/rrslint/sarif reads back.
 type Result struct {
-	Diagnostics []Diagnostic
-	Timing      []CheckTiming
+	Diagnostics []Diagnostic  `json:"findings"`
+	Timing      []CheckTiming `json:"timing"`
 }
 
 // Run loads every selected package and applies the selected checks,

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"roughsurface/internal/approx"
+	"roughsurface/internal/simd"
 )
 
 func TestSourceDeterministic(t *testing.T) {
@@ -272,13 +273,51 @@ func TestFillRowMatchesAt(t *testing.T) {
 	}
 }
 
+// FuzzFillRowMatchesAt: for any seed, start, row and length 0…70,
+// every kernel set's row is the length-1 definition At, sample by
+// sample, at both precisions.
+func FuzzFillRowMatchesAt(f *testing.F) {
+	f.Add(uint64(1), int64(0), int64(0), uint8(17))
+	f.Add(uint64(0xfeedbeef), int64(-9), int64(4), uint8(70))
+	f.Add(uint64(7), int64(math.MaxInt64-30), int64(-1), uint8(64))
+	f.Fuzz(func(t *testing.T, seed uint64, i0, j int64, n uint8) {
+		n %= 71
+		fl := NewField(seed)
+		dst := make([]float64, n)
+		dst32 := make([]float32, n)
+		for _, k := range simd.FieldKernels() {
+			k.Row64(dst, seed, i0, j)
+			k.Row32(dst32, seed, i0, j)
+			for m := range dst {
+				want := fl.At(i0+int64(m), j)
+				if !approx.Exact(dst[m], want) || math.Float32bits(dst32[m]) != math.Float32bits(float32(want)) {
+					t.Fatalf("%s: row [%d] = %v / %v, At %v", k.Name(), m, dst[m], dst32[m], want)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkFieldFillRow times the noise fill of a 4096-sample row
+// through every kernel set the host runs, at both precisions (the
+// selected set is the last; Field.FillRow dispatches to it).
 func BenchmarkFieldFillRow(b *testing.B) {
-	f := NewField(1)
+	const seed = 1
 	dst := make([]float64, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.FillRow(dst, 0, int64(i))
+	dst32 := make([]float32, len(dst))
+	for _, k := range simd.FieldKernels() {
+		for _, prec := range []string{"f64", "f32"} {
+			b.Run(k.Name()+"/"+prec, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if prec == "f64" {
+						k.Row64(dst, seed, 0, int64(i))
+					} else {
+						k.Row32(dst32, seed, 0, int64(i))
+					}
+				}
+				b.ReportMetric(float64(len(dst))*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+			})
+		}
 	}
-	b.ReportMetric(float64(len(dst))*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }

@@ -25,6 +25,20 @@ func macRow64AVX512(taps, noise, dst []float64)
 // FFT column-block stages (fftblock_amd64.s).
 func blockStagesAVX2(a, tw []complex128, inverse bool)
 
+// Noise-field rows (noise_amd64.s).
+//
+//go:noescape
+func fieldRow32AVX2(dst []float32, row, idx uint64)
+
+//go:noescape
+func fieldRow64AVX2(dst []float64, row, idx uint64)
+
+//go:noescape
+func fieldRow32AVX512(dst []float32, row, idx uint64)
+
+//go:noescape
+func fieldRow64AVX512(dst []float64, row, idx uint64)
+
 func hasAVX2() bool {
 	const osxsave = 1 << 27
 	const avx = 1 << 28
@@ -57,21 +71,37 @@ func hasAVX512() bool {
 	return b&(1<<16) != 0 // AVX512F
 }
 
+// hasAVX512DQ reports AVX512DQ on top of hasAVX512: the noise kernels'
+// 64-bit multiply and integer↔float conversions.
+func hasAVX512DQ() bool {
+	if !hasAVX512() {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&(1<<17) != 0
+}
+
 // hostKernels lists the portable loops, then the AVX2 kernels and the
-// AVX-512 MAC rows where the CPU runs them. Axpy and the FFT block
-// stages have no AVX-512 form: Axpy is memory-bound, and ZMM block
-// stages ran only 5–10% faster than the YMM ones at the layer, under
-// 1% of a render, so the AVX2 kernels are kept.
+// AVX-512 MAC rows and noise rows where the CPU runs them. Axpy and the
+// FFT block stages have no AVX-512 form: Axpy is memory-bound, and ZMM
+// block stages ran only 5–10% faster than the YMM ones at the layer,
+// under 1% of a render, so the AVX2 kernels are kept. The AVX-512
+// noise rows need AVX512DQ; an avx512 set without it keeps the AVX2
+// noise rows.
 func hostKernels() []kernelSet {
 	ks := []kernelSet{goKernels}
 	if !hasAVX2() {
 		return ks
 	}
 	ks = append(ks, kernelSet{"avx2", axpy32AVX, axpy64AVX, macRow32AVX, macRow64AVX,
-		blockStagesAVX2})
+		blockStagesAVX2, fieldRow32AVX2, fieldRow64AVX2})
 	if hasAVX512() {
-		ks = append(ks, kernelSet{"avx512", axpy32AVX, axpy64AVX, macRow32AVX512, macRow64AVX512,
-			blockStagesAVX2})
+		avx512 := kernelSet{"avx512", axpy32AVX, axpy64AVX, macRow32AVX512, macRow64AVX512,
+			blockStagesAVX2, fieldRow32AVX2, fieldRow64AVX2}
+		if hasAVX512DQ() {
+			avx512.fieldRow32, avx512.fieldRow64 = fieldRow32AVX512, fieldRow64AVX512
+		}
+		ks = append(ks, avx512)
 	}
 	return ks
 }

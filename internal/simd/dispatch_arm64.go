@@ -15,5 +15,5 @@ func axpy64NEON(alpha float64, x, y []float64)
 // bit-for-bit on arm64 too.
 func hostKernels() []kernelSet {
 	return []kernelSet{goKernels, {"neon", axpy32NEON, axpy64NEON, macRowGeneric32, macRowGeneric64,
-		blockStagesGeneric}}
+		blockStagesGeneric, fieldRowGeneric32, fieldRowGeneric64}}
 }

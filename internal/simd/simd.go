@@ -1,7 +1,8 @@
 // Package simd supplies the precision-generic multiply-accumulate (MAC)
-// kernels behind the direct-convolution and weight-blend hot loops, and
-// the FFT column-block kernels behind the two-dimensional transforms
-// (BlockFFT, fftblock.go). The MAC contract is one primitive:
+// kernels behind the direct-convolution and weight-blend hot loops, the
+// FFT column-block kernels behind the two-dimensional transforms
+// (BlockFFT, fftblock.go), and the noise-field row kernels behind
+// rng.Field (FieldRow64, noise.go). The MAC contract is one primitive:
 //
 //	Axpy: y[i] += alpha·x[i]   (elementwise, no reduction)
 //
@@ -19,11 +20,13 @@
 //
 //   - amd64 AVX-512: 16-lane (float32) / 8-lane (float64) ZMM MAC-row
 //     kernels with opmask tails, selected at init when CPUID reports
-//     AVX512F and XCR0 shows the OS saving opmask and ZMM state. Axpy
-//     and the FFT block stages keep the AVX2 kernels.
+//     AVX512F and XCR0 shows the OS saving opmask and ZMM state, and
+//     8-lane noise rows where the CPU also has AVX512DQ. Axpy and the
+//     FFT block stages (and the noise rows without AVX512DQ) keep the
+//     AVX2 kernels.
 //   - amd64 AVX2: VEX-encoded 8-lane (float32) / 4-lane (float64)
-//     kernels and a YMM FFT block-stage kernel, selected when CPUID
-//     reports AVX2 + OS YMM-state support. Both amd64 sets use separate
+//     kernels, a YMM FFT block-stage kernel and 4-lane noise rows,
+//     selected when CPUID reports AVX2 + OS YMM-state support. Both amd64 sets use separate
 //     multiply and add (no FMA), so their results are bit-identical to
 //     the pure-Go fallback — the float64 reference engine produces the
 //     same bytes with and without assembly, on any amd64 CPU.
@@ -31,13 +34,15 @@
 //     compiler already emits FMADD for the fallback's a*x + y pattern —
 //     so on arm64 both paths fuse and agreement with amd64 is only
 //     within the documented f32/f64 tolerance, as it always has been.
-//     The FFT block stages are the pure-Go ones.
+//     The FFT block stages and noise rows are the pure-Go ones; the
+//     noise lane rounds every product, so arm64's noise equals amd64's.
 //   - pure Go: an 8-lane manually unrolled loop, the portable
 //     reference. Build with -tags noasm to force it everywhere.
 package simd
 
-// kernelSet is one implementation of the MAC primitives and of the FFT
-// column-block kernels (fftblock.go).
+// kernelSet is one implementation of the MAC primitives, of the FFT
+// column-block kernels (fftblock.go) and of the noise-field row
+// (noise.go).
 type kernelSet struct {
 	name        string
 	axpy32      func(alpha float32, x, y []float32)
@@ -45,11 +50,13 @@ type kernelSet struct {
 	macRow32    func(taps, noise, dst []float32)
 	macRow64    func(taps, noise, dst []float64)
 	blockStages func(a, tw []complex128, inverse bool)
+	fieldRow32  func(dst []float32, row, idx uint64)
+	fieldRow64  func(dst []float64, row, idx uint64)
 }
 
 // goKernels is the portable set every build can run.
 var goKernels = kernelSet{"go", axpyGeneric32, axpyGeneric64, macRowGeneric32, macRowGeneric64,
-	blockStagesGeneric}
+	blockStagesGeneric, fieldRowGeneric32, fieldRowGeneric64}
 
 // kernels is every set this build runs on this CPU, portable first and
 // most capable last; the exported kernels dispatch to chosen, the last.

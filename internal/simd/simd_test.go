@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"roughsurface/internal/approx"
-	"roughsurface/internal/rng"
 )
 
 // testLengths exercises every tail combination of the unrolled and
@@ -14,7 +13,22 @@ import (
 // few long vectors.
 var testLengths = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 23, 24, 31, 32, 33, 48, 63, 64, 100, 255, 1024}
 
-func fill64(src *rng.Source, n int) []float64 {
+// testSource is a SplitMix64 stream for test inputs. It is local
+// because the rng package imports simd for its noise kernel.
+type testSource struct{ state uint64 }
+
+func newTestSource(seed uint64) *testSource { return &testSource{seed} }
+
+// Uint64 returns the next SplitMix64 output.
+func (s *testSource) Uint64() uint64 {
+	s.state += fieldStepI
+	return splitmixFinal(s.state)
+}
+
+// Float64 returns a uniform variate in [0, 1) with 53 random bits.
+func (s *testSource) Float64() float64 { return float64(s.Uint64()>>11) / (1 << 53) }
+
+func fill64(src *testSource, n int) []float64 {
 	v := make([]float64, n)
 	for i := range v {
 		v[i] = src.Float64()*4 - 2
@@ -36,7 +50,7 @@ func axpyRef[F Float](alpha F, x, y []F) {
 // tolerance on arm64, where both FMLA and the compiled reference fuse
 // but tails may differ in fusing.
 func TestAxpyMatchesReference(t *testing.T) {
-	src := rng.NewSource(7)
+	src := newTestSource(7)
 	for _, n := range testLengths {
 		x64 := fill64(src, n)
 		y64 := fill64(src, n)
@@ -85,7 +99,7 @@ func exactKernels() []kernelSet {
 // one.
 func TestAxpyBitExactVsFallback(t *testing.T) {
 	for _, k := range exactKernels() {
-		src := rng.NewSource(11)
+		src := newTestSource(11)
 		for _, n := range testLengths {
 			x64 := fill64(src, n)
 			y64a := fill64(src, n)
@@ -179,7 +193,7 @@ func macRowRef[F Float](taps, noise, dst []F) {
 // against the literal per-sample sum for every tail class and several
 // tap-row lengths (including the degenerate empty tap row).
 func TestMacRowMatchesReference(t *testing.T) {
-	src := rng.NewSource(13)
+	src := newTestSource(13)
 	for _, taps := range []int{0, 1, 2, 5, 11, 16} {
 		for _, n := range testLengths {
 			t64 := fill64(src, taps)
@@ -217,7 +231,7 @@ func TestMacRowMatchesReference(t *testing.T) {
 // the axpy kernel per tap, at either precision. This holds on every
 // build — both formulations add in tap order, and on arm64 both fuse.
 func TestMacRowBitExactVsAxpy(t *testing.T) {
-	src := rng.NewSource(17)
+	src := newTestSource(17)
 	for _, taps := range []int{1, 3, 11} {
 		for _, n := range testLengths {
 			t64 := fill64(src, taps)
@@ -262,7 +276,7 @@ func TestMacRowBitExactVsAxpy(t *testing.T) {
 // rows (97 and 173 taps).
 func TestMacRowBitExactVsFallback(t *testing.T) {
 	const maxLen = 2*64 + 7
-	src := rng.NewSource(19)
+	src := newTestSource(19)
 	for _, k := range exactKernels() {
 		for _, taps := range []int{0, 1, 5, 97, 173} {
 			t64 := fill64(src, taps)
@@ -324,7 +338,7 @@ func TestMacRowShortNoisePanics(t *testing.T) {
 // replaced. SetBytes counts tap-samples, so MB/s reads as millions of
 // tap-samples per second.
 func BenchmarkMacRow(b *testing.B) {
-	src := rng.NewSource(5)
+	src := newTestSource(5)
 	for _, sh := range []struct {
 		prec    string
 		n, taps int
@@ -371,7 +385,7 @@ func BenchmarkMacRow(b *testing.B) {
 
 func BenchmarkAxpy(b *testing.B) {
 	const n = 512
-	src := rng.NewSource(3)
+	src := newTestSource(3)
 	x64 := fill64(src, n)
 	y64 := fill64(src, n)
 	b.Run("f64/"+Impl(), func(b *testing.B) {

@@ -273,6 +273,32 @@ func TestAutocorrelationGridLagOrdering(t *testing.T) {
 	}
 }
 
+// TestAutocorrelationGridMirrorsFullEvaluation: the quadrant-and-mirror
+// grid is bit-identical to evaluating ρ at every bin's folded lag, for
+// every family at odd and even sizes.
+func TestAutocorrelationGridMirrorsFullEvaluation(t *testing.T) {
+	for _, s := range []Spectrum{
+		MustGaussian(1.5, 3, 5),
+		MustPowerLaw(1, 4, 3, 2.5),
+		MustExponential(2, 5, 2),
+		testSea(t),
+	} {
+		for _, n := range [][2]int{{1, 1}, {2, 3}, {8, 9}, {16, 16}, {17, 15}} {
+			nx, ny := n[0], n[1]
+			const dx, dy = 0.7, 1.3
+			g := AutocorrelationGrid(s, nx, ny, dx, dy)
+			for my := 0; my < ny; my++ {
+				for mx := 0; mx < nx; mx++ {
+					want := s.Autocorrelation(dx*float64(fold(mx, nx)), dy*float64(fold(my, ny)))
+					if !approx.Exact(g.At(mx, my), want) {
+						t.Fatalf("%s %dx%d: bin (%d,%d) = %v, full evaluation %v", s.Name(), nx, ny, mx, my, g.At(mx, my), want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestNames(t *testing.T) {
 	if MustGaussian(1, 1, 1).Name() != "gaussian" {
 		t.Error("gaussian name")

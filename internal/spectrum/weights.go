@@ -89,16 +89,26 @@ func NormalizeVariance(w *grid.Grid, h float64) {
 // an nx×ny surface with sample spacings dx×dy: entry (mx, my) holds
 // ρ(fold(mx)·dx, fold(my)·dy), matching the lag ordering produced by
 // stats.AutocovarianceFFT and by the N·IDFT of the weight array — the
-// comparison the paper uses as its accuracy check (§2.2).
+// comparison the paper uses as its accuracy check (§2.2). Bins m and
+// n−m fold to the same lag index, so ρ is evaluated on the quadrant
+// mx ≤ nx/2, my ≤ ny/2 and each mirror bin copies the same evaluation:
+// a quarter of the calls, the same values.
 func AutocorrelationGrid(s Spectrum, nx, ny int, dx, dy float64) *grid.Grid {
 	g := grid.New(nx, ny)
 	g.Dx, g.Dy = dx, dy
-	for my := 0; my < ny; my++ {
-		y := dy * float64(fold(my, ny))
-		for mx := 0; mx < nx; mx++ {
-			x := dx * float64(fold(mx, nx))
-			g.Set(mx, my, s.Autocorrelation(x, y))
+	hx, hy := nx/2, ny/2 // fold(m, n) = m exactly for m ≤ n/2
+	for my := 0; my <= hy; my++ {
+		y := dy * float64(my)
+		row := g.Row(my)
+		for mx := 0; mx <= hx; mx++ {
+			row[mx] = s.Autocorrelation(dx*float64(mx), y)
 		}
+		for mx := hx + 1; mx < nx; mx++ {
+			row[mx] = row[nx-mx]
+		}
+	}
+	for my := hy + 1; my < ny; my++ {
+		copy(g.Row(my), g.Row(ny-my))
 	}
 	return g
 }

@@ -21,10 +21,10 @@
 #
 # The bench smoke (-benchtime=1x) only proves every benchmark still
 # compiles and runs, including the per-kernel-set benchmarks of
-# internal/fft and internal/simd. Its one timing gate is the pyramid
-# gate: BenchmarkZoomWalk's pyramid arm must take at most 40% of its
-# level-0 arm. perfbench/run.sh is the repository benchmark that does
-# the real measurement.
+# internal/fft, internal/simd and internal/rng. Its one timing gate is
+# the pyramid gate: BenchmarkZoomWalk's pyramid arm must take at most
+# 40% of its level-0 arm. perfbench/run.sh is the repository benchmark
+# that does the real measurement.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -88,26 +88,29 @@ go vet ./...
 step_end
 
 # The simd package ships hand-written MAC kernels for amd64 and arm64
-# and FFT column-block stages for amd64, plus a pure-Go fallback
-# behind -tags noasm; all
-# three must keep compiling, and the fallback must keep passing the
-# convolution agreement and FFT bit-exactness tests, no matter which
-# architecture CI runs on.
+# and FFT column-block stages and noise-field kernels for amd64, plus a
+# pure-Go fallback behind -tags noasm; all three must keep compiling,
+# and the fallback must keep passing the convolution agreement, FFT
+# and noise bit-exactness tests, no matter which architecture CI runs
+# on.
 step_begin "cross-compile (arm64) + noasm fallback tests"
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/simd ./internal/rng ./internal/fft ./internal/convgen ./internal/inhomo
 go test -tags noasm ./internal/simd ./internal/rng ./internal/fft ./internal/convgen ./internal/inhomo
 step_end
 
+# One analysis: the SARIF report is converted from the JSON one
+# (cmd/rrslint/sarif), not re-analyzed. Only a failing run lints again,
+# to print the findings as text.
 step_begin "rrslint (findings -> $LINT_JSON, SARIF -> $LINT_SARIF)"
 if ! go run ./cmd/rrslint -json ./... > "$LINT_JSON"; then
+    # Still produce the SARIF report so code scanning sees the findings.
+    go run ./cmd/rrslint/sarif < "$LINT_JSON" > "$LINT_SARIF" || true
     echo "rrslint findings:" >&2
     go run ./cmd/rrslint ./... >&2 || true
-    # Still produce the SARIF report so code scanning sees the findings.
-    go run ./cmd/rrslint -format=sarif ./... > "$LINT_SARIF" || true
     exit 1
 fi
-go run ./cmd/rrslint -format=sarif ./... > "$LINT_SARIF"
+go run ./cmd/rrslint/sarif < "$LINT_JSON" > "$LINT_SARIF"
 step_end
 
 step_begin "go test"
@@ -288,7 +291,7 @@ rm -rf "$CL_DIR"
 step_end
 
 step_begin "bench smoke (compile + one iteration per benchmark) + pyramid gate"
-go test -run='^$' -bench=. -benchtime=1x . ./internal/fft ./internal/simd > /dev/null
+go test -run='^$' -bench=. -benchtime=1x . ./internal/fft ./internal/simd ./internal/rng > /dev/null
 # Pyramid gate: serving the zoom walk from per-level kernels must take
 # at most 40% of rendering the same map area at level 0 (it takes ~3%).
 # Each arm scores its fastest of three runs.
@@ -307,6 +310,7 @@ if [[ "$FUZZTIME" != "0" ]]; then
     go test -run='^$' -fuzz=FuzzRead -fuzztime="$FUZZTIME" ./internal/grid
     go test -run='^$' -fuzz=FuzzParseScene -fuzztime="$FUZZTIME" ./internal/core
     go test -run='^$' -fuzz=FuzzConv32Agreement -fuzztime="$FUZZTIME" ./internal/convgen
+    go test -run='^$' -fuzz=FuzzFillRowMatchesAt -fuzztime="$FUZZTIME" ./internal/rng
     go test -run='^$' -fuzz=FuzzSupportMaskPlate -fuzztime="$FUZZTIME" ./internal/inhomo
     go test -run='^$' -fuzz=FuzzSupportMaskPoint -fuzztime="$FUZZTIME" ./internal/inhomo
     go test -run='^$' -fuzz=FuzzSummary -fuzztime="$FUZZTIME" ./internal/lint
