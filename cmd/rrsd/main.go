@@ -61,8 +61,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	genWorkers := fs.Int("gen-workers", 1, "intra-tile render parallelism")
 	tileEdge := fs.Int("tile-edge", 256, "fixed edge of pyramid-route tiles")
 	maxLevel := fs.Int("max-level", 8, "deepest pyramid level served")
-	pinLevel := fs.Int("pin-level", 2, "pin tiles at levels >= this to the pinned cache tier (-1 disables)")
-	pinCacheMB := fs.Int64("pin-cache-mb", 32, "pinned (coarse-level) tile tier capacity in MiB (0 folds into -cache-mb)")
 	prefetchQueue := fs.Int("prefetch-queue", 32, "neighbor-prefetch queue depth (-1 disables prefetch)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
 	portFile := fs.String("portfile", "", "write the bound address to this file once listening (for scripts)")
@@ -94,10 +92,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *cacheMB == 0 {
 		cacheBytes = -1
 	}
-	pinCacheBytes := *pinCacheMB << 20
-	if *pinCacheMB == 0 {
-		pinCacheBytes = -1
-	}
 	cfg := service.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
@@ -107,8 +101,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		GenWorkers:     *genWorkers,
 		TileEdge:       *tileEdge,
 		MaxLevel:       *maxLevel,
-		PinLevel:       *pinLevel,
-		PinCacheBytes:  pinCacheBytes,
 		PrefetchQueue:  *prefetchQueue,
 		Flags:          flags,
 	}

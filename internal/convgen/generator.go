@@ -41,14 +41,25 @@ const directCostLimit = 1 << 27
 // are caller-owned; scratch is never shared with them. In steady state —
 // streaming strips, fixed-size tiles — a Generate call allocates only
 // the returned grid.
+//
+// Only the field depends on the seed (§2.4, eqn 36: the kernel is fixed
+// by the spectrum and the spacing). Everything derived from the kernel
+// sits behind one shared kernelState, so WithSeed copies of a Generator
+// reuse its narrowed taps, scratch pools and kernel spectra.
 type Generator struct {
-	kernel *Kernel
-	field  rng.Field
+	*kernelState
+	field rng.Field
 
 	// Workers bounds per-call parallelism (0 = GOMAXPROCS).
 	Workers int
 	// Engine selects the convolution path (default EngineAuto).
 	Engine Engine
+}
+
+// kernelState is everything a Generator derives from its kernel; every
+// WithSeed copy shares it.
+type kernelState struct {
+	kernel *Kernel
 
 	// tapsHat caches the half-spectrum of the zero-padded kernel per
 	// FFT size: streaming and tiled workloads re-enter convolveFFT with
@@ -63,9 +74,8 @@ type Generator struct {
 	// a pool rather than one owned buffer keeps concurrent calls on a
 	// shared Generator correct while still reaching zero steady-state
 	// allocations. The float32 taps are the kernel narrowed at
-	// construction; they live on the Generator, not the Kernel, because
-	// Kernel is a mutable exported value type while a Generator's kernel
-	// is fixed.
+	// construction; they live here, not on the Kernel, because Kernel is
+	// a mutable exported value type while a Generator's kernel is fixed.
 	f64 lane[float64]
 	f32 lane[float32]
 }
@@ -132,12 +142,23 @@ func narrowRows[F simd.Float](noise []F, plane planeView, wx, lo, hi int) {
 
 // NewGenerator wraps a kernel and a noise field seed.
 func NewGenerator(k *Kernel, seed uint64) *Generator {
-	g := &Generator{kernel: k, field: rng.NewField(seed)}
+	g := &Generator{kernelState: &kernelState{kernel: k}, field: rng.NewField(seed)}
 	taps32 := make([]float32, len(k.Taps))
 	convert(taps32, k.Taps)
 	g.f64.init(k.Taps, simd.MacRow64, rng.Field.FillRow)
 	g.f32.init(taps32, simd.MacRow32, rng.Field.FillRow32)
 	return g
+}
+
+// WithSeed returns a copy of g over seed's noise field. The copy shares
+// g's kernel state (taps at both precisions, scratch pools and kernel
+// spectra) and starts with g's Workers and Engine; renders through it
+// equal, bit for bit, those of NewGenerator(g.Kernel(), seed) on the
+// same Engine.
+func (g *Generator) WithSeed(seed uint64) *Generator {
+	c := *g
+	c.field = rng.NewField(seed)
+	return &c
 }
 
 // Kernel exposes the generator's kernel (shared, not copied).

@@ -45,14 +45,6 @@ func FromSpectrum(s spectrum.Spectrum, nx, ny int, dx, dy float64) (*Kernel, err
 	return fromSpectrum(s, nx, ny, dx, dy, false)
 }
 
-// FromSpectrumExact is FromSpectrum with the weight array rescaled so
-// the kernel energy (and hence the generated height variance) equals h²
-// exactly, compensating the spectral tail lost beyond Nyquist (see
-// spectrum.NormalizeVariance).
-func FromSpectrumExact(s spectrum.Spectrum, nx, ny int, dx, dy float64) (*Kernel, error) {
-	return fromSpectrum(s, nx, ny, dx, dy, true)
-}
-
 func fromSpectrum(s spectrum.Spectrum, nx, ny int, dx, dy float64, exact bool) (*Kernel, error) {
 	if nx < 2 || ny < 2 {
 		return nil, fmt.Errorf("convgen: kernel design grid must be at least 2x2, got %dx%d", nx, ny)
@@ -104,8 +96,10 @@ func Design(s spectrum.Spectrum, dx, dy, spanCL, eps float64) (*Kernel, error) {
 	return design(s, dx, dy, spanCL, eps, false)
 }
 
-// DesignExact is Design built from the exact-variance weight array
-// (FromSpectrumExact).
+// DesignExact is Design with the weight array rescaled so the kernel
+// energy (and hence the generated height variance) equals h² exactly,
+// compensating the spectral tail lost beyond Nyquist (see
+// spectrum.NormalizeVariance).
 func DesignExact(s spectrum.Spectrum, dx, dy, spanCL, eps float64) (*Kernel, error) {
 	return design(s, dx, dy, spanCL, eps, true)
 }

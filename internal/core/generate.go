@@ -25,21 +25,39 @@ type Result struct {
 }
 
 // Generate assembles and runs the scene, returning the surface centered
-// on the origin.
+// on the origin. The dft generator synthesizes its grid directly; every
+// other scene renders through its Components.
 func Generate(sc Scene) (*Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	s := sc.normalized()
-	switch s.Method {
-	case MethodHomogeneous:
-		return generateHomogeneous(s)
-	case MethodPlate:
-		return generatePlate(s)
-	case MethodPoint:
-		return generatePoint(s)
+	if s.Method == MethodHomogeneous && s.Generator == GeneratorDFT {
+		spec, err := s.Spectrum.Build()
+		if err != nil {
+			return nil, err
+		}
+		gen, err := dftgen.New(spec, s.Nx, s.Ny, s.Dx, s.Dy)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Surface: gen.Generate(rng.NewGaussian(s.Seed))}, nil
 	}
-	panic("unreachable: Validate accepted unknown method")
+	comp, err := s.Components()
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{KernelSizes: comp.KernelSizes}
+	if comp.Blender == nil {
+		res.Conv = convgen.NewGenerator(comp.Kernels[0], s.Seed)
+		res.Surface = res.Conv.GenerateCentered(s.Nx, s.Ny)
+		return res, nil
+	}
+	if res.Inhomo, err = inhomo.NewGenerator(comp.Kernels, comp.Blender, s.Seed); err != nil {
+		return nil, err
+	}
+	res.Surface = res.Inhomo.GenerateCentered(s.Nx, s.Ny)
+	return res, nil
 }
 
 // MustGenerate is Generate that panics on error, for validated presets.
@@ -111,30 +129,6 @@ func (sc Scene) designKernel(spec SpectrumSpec) (*convgen.Kernel, error) {
 	return convgen.Design(s, sc.Dx, sc.Dy, sc.KernelSpanCL, sc.KernelEps)
 }
 
-func generateHomogeneous(sc Scene) (*Result, error) {
-	spec, err := sc.Spectrum.Build()
-	if err != nil {
-		return nil, err
-	}
-	if sc.Generator == GeneratorDFT {
-		gen, err := dftgen.New(spec, sc.Nx, sc.Ny, sc.Dx, sc.Dy)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Surface: gen.Generate(rng.NewGaussian(sc.Seed))}, nil
-	}
-	kernel, err := sc.designKernel(*sc.Spectrum)
-	if err != nil {
-		return nil, err
-	}
-	conv := convgen.NewGenerator(kernel, sc.Seed)
-	return &Result{
-		Surface:     conv.GenerateCentered(sc.Nx, sc.Ny),
-		Conv:        conv,
-		KernelSizes: [][2]int{{kernel.Nx, kernel.Ny}},
-	}, nil
-}
-
 func (sc Scene) plateComponents() (*Components, error) {
 	regions := make([]inhomo.Region, len(sc.Regions))
 	kernels := make([]*convgen.Kernel, len(sc.Regions))
@@ -186,36 +180,4 @@ func (sc Scene) pointComponents() (*Components, error) {
 		return nil, err
 	}
 	return &Components{Kernels: kernels, Blender: blender, KernelSizes: sizes}, nil
-}
-
-func generatePlate(sc Scene) (*Result, error) {
-	comp, err := sc.plateComponents()
-	if err != nil {
-		return nil, err
-	}
-	gen, err := inhomo.NewGenerator(comp.Kernels, comp.Blender, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Surface:     gen.GenerateCentered(sc.Nx, sc.Ny),
-		Inhomo:      gen,
-		KernelSizes: comp.KernelSizes,
-	}, nil
-}
-
-func generatePoint(sc Scene) (*Result, error) {
-	comp, err := sc.pointComponents()
-	if err != nil {
-		return nil, err
-	}
-	gen, err := inhomo.NewGenerator(comp.Kernels, comp.Blender, sc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Surface:     gen.GenerateCentered(sc.Nx, sc.Ny),
-		Inhomo:      gen,
-		KernelSizes: comp.KernelSizes,
-	}, nil
 }

@@ -25,6 +25,7 @@ const defaultTileSize = 64
 // A Generator is safe for concurrent use: per-call scratch comes from
 // an internal pool and the per-component convolution generators are
 // never mutated after construction. Returned grids are caller-owned.
+// WithSeed copies share the kernels, the blender and the scratch pools.
 type Generator struct {
 	kernels []*convgen.Kernel
 	convs   []*convgen.Generator // one per component, sharing the noise seed
@@ -45,7 +46,7 @@ type Generator struct {
 	// render precision ([0] float64, [1] float32; see arenaPool), so a
 	// mixed-precision serving workload does not thrash one set of
 	// allocations.
-	arenas [2]sync.Pool
+	arenas *[2]sync.Pool
 }
 
 // tileArena is one worker's scratch for rendering a multi-active tile
@@ -92,10 +93,25 @@ func NewGenerator(kernels []*convgen.Kernel, blender Blender, seed uint64) (*Gen
 		}
 		convs[i] = convgen.NewGenerator(k, seed) // same seed → same noise field
 	}
-	g := &Generator{kernels: kernels, convs: convs, blender: blender, seed: seed, dx: dx, dy: dy}
+	g := &Generator{kernels: kernels, convs: convs, blender: blender, seed: seed, dx: dx, dy: dy,
+		arenas: new([2]sync.Pool)}
 	g.arenas[0].New = func() any { return &tileArena[float64]{} }
 	g.arenas[1].New = func() any { return &tileArena[float32]{} }
 	return g, nil
+}
+
+// WithSeed returns a copy of g over seed's noise field: each component
+// generator is reseeded (convgen.Generator.WithSeed), and everything
+// else is shared. Renders through the copy equal, bit for bit, those of
+// NewGenerator with the same kernels, blender and seed.
+func (g *Generator) WithSeed(seed uint64) *Generator {
+	c := *g
+	c.seed = seed
+	c.convs = make([]*convgen.Generator, len(g.convs))
+	for i, cg := range g.convs {
+		c.convs[i] = cg.WithSeed(seed)
+	}
+	return &c
 }
 
 // MustGenerator is NewGenerator that panics on error.

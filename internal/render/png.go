@@ -32,8 +32,3 @@ func PNG(w io.Writer, g *grid.Grid) error {
 	}
 	return png.Encode(w, img)
 }
-
-// SavePNG writes a terrain-colormapped PNG file.
-func SavePNG(path string, g *grid.Grid) error {
-	return saveWith(path, g, PNG)
-}

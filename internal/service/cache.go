@@ -10,34 +10,23 @@ import (
 // window, format, precision) — so a hit can be streamed verbatim: tiles
 // are deterministic functions of their key, which is what makes an LRU
 // (rather than a TTL cache) the right shape; entries never go stale,
-// they only get cold.
-//
-// Pyramid awareness: coarse-level tiles are as expensive to render as
-// fine ones (same sample count) but each one covers 4^z times the map
-// area, so a zoom-out renders through them constantly. A flood of
-// level-0 tiles from one panning client must not evict them. Entries
-// admitted with pinned=true are therefore charged to a separate byte
-// budget with its own LRU list; the two tiers never evict each other.
+// they only get cold. Every level shares the one budget.
 //
 // Bodies are immutable after insertion: get returns the stored slice
 // and callers must only read it.
 type tileCache struct {
 	mu       sync.Mutex
-	capBytes int64 // main tier budget; <= 0 disables the whole cache
-	pinCap   int64 // pinned tier budget; <= 0 folds pinned adds into the main tier
+	capBytes int64 // <= 0 disables the cache
 	used     int64
-	pinUsed  int64
-	ll       *list.List // main tier, front = most recently used
-	pinLL    *list.List // pinned tier
+	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
 }
 
 // cacheEntry is one encoded tile response.
 type cacheEntry struct {
-	key    string
-	body   []byte
-	ctype  string
-	pinned bool
+	key   string
+	body  []byte
+	ctype string
 }
 
 // entryOverhead approximates the fixed per-entry bookkeeping a cached
@@ -47,21 +36,18 @@ type cacheEntry struct {
 // overhead the old body-bytes-only accounting never saw.
 const entryOverhead = 128
 
-// size is the bytes an entry is charged against its tier's budget:
+// size is the bytes an entry is charged against the budget:
 // payload plus key and content-type strings plus fixed overhead.
 func (e *cacheEntry) size() int64 {
 	return int64(len(e.body)) + int64(len(e.key)) + int64(len(e.ctype)) + entryOverhead
 }
 
-// newTileCache bounds the main tier at capBytes and the pinned tier at
-// pinCap. capBytes <= 0 disables caching entirely: every get misses,
-// every add is dropped.
-func newTileCache(capBytes, pinCap int64) *tileCache {
+// newTileCache bounds the cache at capBytes. capBytes <= 0 disables
+// caching entirely: every get misses, every add is dropped.
+func newTileCache(capBytes int64) *tileCache {
 	return &tileCache{
 		capBytes: capBytes,
-		pinCap:   pinCap,
 		ll:       list.New(),
-		pinLL:    list.New(),
 		items:    make(map[string]*list.Element),
 	}
 }
@@ -73,13 +59,8 @@ func (c *tileCache) get(key string) (*cacheEntry, bool) {
 	if !ok {
 		return nil, false
 	}
-	e := el.Value.(*cacheEntry)
-	if e.pinned {
-		c.pinLL.MoveToFront(el)
-	} else {
-		c.ll.MoveToFront(el)
-	}
-	return e, true
+	c.ll.MoveToFront(el)
+	return el.Value.(*cacheEntry), true
 }
 
 // contains reports presence without touching recency — the prefetcher
@@ -95,68 +76,42 @@ func (c *tileCache) add(e *cacheEntry) {
 	if c.capBytes <= 0 {
 		return
 	}
-	if e.pinned && c.pinCap <= 0 {
-		e.pinned = false // no pinned budget: compete in the main tier
-	}
 	size := e.size()
-	budget, used, ll := c.capBytes, &c.used, c.ll
-	if e.pinned {
-		budget, used, ll = c.pinCap, &c.pinUsed, c.pinLL
-	}
-	if size > budget {
+	if size > c.capBytes {
 		return // a single over-capacity tile would evict everything for nothing
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[e.key]; ok {
 		// Deterministic tiles: an existing entry is byte-identical, so
-		// just refresh recency in whichever tier it landed.
-		if el.Value.(*cacheEntry).pinned {
-			c.pinLL.MoveToFront(el)
-		} else {
-			c.ll.MoveToFront(el)
-		}
+		// just refresh recency.
+		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[e.key] = ll.PushFront(e)
-	*used += size
-	for *used > budget {
-		back := ll.Back()
+	c.items[e.key] = c.ll.PushFront(e)
+	c.used += size
+	for c.used > c.capBytes {
+		back := c.ll.Back()
 		if back == nil {
 			break
 		}
 		old := back.Value.(*cacheEntry)
-		ll.Remove(back)
+		c.ll.Remove(back)
 		delete(c.items, old.key)
-		*used -= old.size()
+		c.used -= old.size()
 	}
 }
 
-// bytes reports the charged bytes across both tiers, for the metrics
-// gauge.
+// bytes reports the charged bytes, for the metrics gauge.
 func (c *tileCache) bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.used + c.pinUsed
+	return c.used
 }
 
-// pinnedBytes reports the pinned tier's charged bytes.
-func (c *tileCache) pinnedBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pinUsed
-}
-
-// len reports the entry count across both tiers, for the metrics gauge.
+// len reports the entry count, for the metrics gauge.
 func (c *tileCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len() + c.pinLL.Len()
-}
-
-// pinnedLen reports the pinned tier's entry count.
-func (c *tileCache) pinnedLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pinLL.Len()
+	return c.ll.Len()
 }

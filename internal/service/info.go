@@ -38,9 +38,6 @@ type infoLimits struct {
 
 type infoCache struct {
 	TileBytes     int64 `json:"tile_bytes"`
-	PinnedBytes   int64 `json:"pinned_bytes"`
-	PinLevel      int   `json:"pin_level"`
-	MaxSeedGens   int   `json:"max_seed_gens"`
 	Scenes        int   `json:"scenes"`
 	Entries       int   `json:"entries"`
 	UsedBytes     int64 `json:"used_bytes"`
@@ -67,14 +64,11 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 			MaxTileSamples:   s.cfg.MaxTileSamples,
 			TileEdge:         s.cfg.TileEdge,
 			MaxLevel:         s.cfg.MaxLevel,
-			MaxScenes:        s.cfg.MaxScenes,
+			MaxScenes:        maxScenes,
 			Draining:         s.draining.Load(),
 		},
 		Cache: infoCache{
 			TileBytes:     s.cfg.CacheBytes,
-			PinnedBytes:   s.cfg.PinCacheBytes,
-			PinLevel:      s.cfg.PinLevel,
-			MaxSeedGens:   s.cfg.MaxSeedGens,
 			Scenes:        s.reg.len(),
 			Entries:       s.cache.len(),
 			UsedBytes:     s.cache.bytes(),

@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"time"
 
 	"roughsurface/internal/cluster"
 )
@@ -126,7 +127,7 @@ func (s *Server) peerFetchOnce(ctx context.Context, owner cluster.Peer, uri stri
 // bodies are cached locally too: the owner's LRU stays the
 // authoritative hot cache, but repeat traffic through this node
 // becomes a local hit.
-func (s *Server) fetchFromOwner(ctx context.Context, uri string, owner cluster.Peer, level int, key string, wantLen int) (*cacheEntry, string, bool) {
+func (s *Server) fetchFromOwner(ctx context.Context, uri string, owner cluster.Peer, key string, wantLen int) (*cacheEntry, string, bool) {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	res := s.peerFetch(ctx, owner, uri, key)
@@ -153,9 +154,12 @@ func (s *Server) fetchFromOwner(ctx context.Context, uri string, owner cluster.P
 	} else {
 		s.met.countPeer(owner.Name, "proxy_miss")
 	}
-	s.cache.add(&cacheEntry{key: key, body: res.body, ctype: res.ctype, pinned: s.pinLevel(level)})
+	s.cache.add(&cacheEntry{key: key, body: res.body, ctype: res.ctype})
 	return &cacheEntry{body: res.body, ctype: res.ctype}, res.ownerCache, true
 }
+
+// fanoutTimeout bounds the whole scene-registration fan-out.
+const fanoutTimeout = 5 * time.Second
 
 // fanoutScene replicates a freshly-registered scene's canonical JSON
 // to every other peer so any node can serve its tiles. Content
@@ -164,7 +168,7 @@ func (s *Server) fetchFromOwner(ctx context.Context, uri string, owner cluster.P
 // and the local registration still succeeds — an operator retry or the
 // next registration through any node converges the fleet.
 func (s *Server) fanoutScene(ctx context.Context, canonical []byte) int {
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.FanoutTimeout)
+	ctx, cancel := context.WithTimeout(ctx, fanoutTimeout)
 	defer cancel()
 	replicated := 0
 	for _, p := range s.cluster.Snapshot().Peers {

@@ -147,7 +147,6 @@ func TestPerLevelMetrics(t *testing.T) {
 		`rrsd_tile_level_hits_total{level="0"} 0`,
 		`rrsd_tile_level_misses_total{level="0"} 1`,
 		`rrsd_prefetch_dropped_total 0`,
-		`rrsd_tile_cache_pinned_bytes`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q", want)
@@ -156,30 +155,6 @@ func TestPerLevelMetrics(t *testing.T) {
 	// Untouched levels stay out of the scrape (bounded cardinality).
 	if strings.Contains(out, `level="5"`) {
 		t.Error("metrics emit counters for levels with no traffic")
-	}
-}
-
-// TestPinnedLevelAdmission: tiles at levels >= PinLevel land in the
-// pinned tier and survive a flood of level-0 tiles through the main
-// tier.
-func TestPinnedLevelAdmission(t *testing.T) {
-	// Main budget fits ~2 tiles of 32×32×4 = 4096 bytes (+overhead);
-	// pinned budget holds the coarse tile.
-	s, ts := testServer(t, Config{
-		Workers: 2, TileEdge: 32, PinLevel: 2,
-		CacheBytes: 10000, PinCacheBytes: 10000, PrefetchQueue: -1,
-	})
-	id := postScene(t, ts, fixtureHomog)
-
-	getTile(t, ts, "/v1/scene/"+id+"/tile/3/0,0?seed=1")
-	if got := s.cache.pinnedLen(); got != 1 {
-		t.Fatalf("pinned tier holds %d entries after a z=3 render, want 1", got)
-	}
-	for i := 0; i < 6; i++ {
-		getTile(t, ts, fmt.Sprintf("/v1/scene/%s/tile/0/%d,0?seed=1", id, i))
-	}
-	if _, cache := getTile(t, ts, "/v1/scene/"+id+"/tile/3/0,0?seed=1"); cache != "hit" {
-		t.Error("pinned z=3 tile evicted by level-0 churn")
 	}
 }
 
@@ -226,8 +201,7 @@ func TestPrefetchWarmsNeighbors(t *testing.T) {
 // prefetch jobs are shed — and foreground tile latency is unaffected.
 func TestPrefetchSaturationKeepsForegroundFast(t *testing.T) {
 	s, ts := testServer(t, Config{
-		Workers: 2, QueueDepth: 4, TileEdge: 32,
-		PrefetchWorkers: 1, PrefetchQueue: 1,
+		Workers: 2, QueueDepth: 4, TileEdge: 32, PrefetchQueue: 1,
 	})
 	id := postScene(t, ts, fixtureHomog)
 

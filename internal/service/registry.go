@@ -54,7 +54,7 @@ var errRegistryFull = fmt.Errorf("service: scene registry full")
 // grid, so it cannot serve windowed tiles (core.Components enforces
 // the same rule; checking at registration turns it into a 422 instead
 // of a failed first tile).
-func (r *registry) register(body []byte, genWorkers, maxSeedGens int) (*sceneEntry, bool, error) {
+func (r *registry) register(body []byte, genWorkers int) (*sceneEntry, bool, error) {
 	sc, err := core.ParseScene(body)
 	if err != nil {
 		return nil, false, err
@@ -76,13 +76,11 @@ func (r *registry) register(body []byte, genWorkers, maxSeedGens int) (*sceneEnt
 		return nil, false, errRegistryFull
 	}
 	e := &sceneEntry{
-		ID:          id,
-		Scene:       sc,
-		Canonical:   canonical,
-		genWorkers:  genWorkers,
-		maxSeedGens: maxSeedGens,
-		comps:       make(map[int]*levelComponents),
-		gens:        make(map[genKey]*tileGen),
+		ID:         id,
+		Scene:      sc,
+		Canonical:  canonical,
+		genWorkers: genWorkers,
+		comps:      make(map[int]*levelComponents),
 	}
 	r.scenes[id] = e
 	return e, true, nil
@@ -108,8 +106,10 @@ func (r *registry) len() int {
 // (scene, level) blocks on a single design instead of designing per
 // request. Levels are designed independently: the kernel taps are a
 // function of the level's grid spacing, and a scene serving only level
-// 0 never pays for coarser kernels. Generators (cheap, seed-dependent)
-// are cached per (level, seed) behind a small LRU.
+// 0 never pays for coarser kernels. The same Once builds the level's
+// one generator; a tile request reseeds it (WithSeed), so client-chosen
+// seeds share the level's taps, scratch pools and kernel spectra and
+// grow nothing.
 type sceneEntry struct {
 	ID         string
 	Scene      core.Scene
@@ -118,59 +118,22 @@ type sceneEntry struct {
 
 	compMu sync.Mutex
 	comps  map[int]*levelComponents
-
-	mu          sync.Mutex
-	gens        map[genKey]*tileGen
-	order       []genKey // LRU over (level, seed), most recent last
-	maxSeedGens int
 }
 
 // levelComponents is the design singleflight slot for one pyramid
-// level: kernels and weight maps re-derived at spacing Dx·2^level.
-// The tapsHat spectrum LRU lives inside each level's convgen
-// generators, so level keying here also keys that cache by level.
+// level: kernels and weight maps re-derived at spacing Dx·2^level, and
+// the generator over them. The tapsHat spectrum LRU lives inside the
+// level's convgen generators, so level keying here also keys that cache
+// by level.
 type levelComponents struct {
 	once sync.Once
 	err  error
-	comp *core.Components
-}
-
-// genKey identifies one cached tile generator.
-type genKey struct {
-	level int
-	seed  uint64
-}
-
-// components returns the level's kernels/blender, designing them on
-// first use. Concurrent callers for the same level share one design:
-// the loser of the Once race parks until the winner's design finishes,
-// so ctx is accepted (and checked after the wait) even though the
-// design itself is CPU-bound and runs to completion once started.
-func (e *sceneEntry) components(ctx context.Context, level int) (*core.Components, error) {
-	e.compMu.Lock()
-	lc, ok := e.comps[level]
-	if !ok {
-		lc = &levelComponents{}
-		e.comps[level] = lc
-	}
-	e.compMu.Unlock()
-	lc.once.Do(func() {
-		view, err := e.Scene.AtLevel(level)
-		if err != nil {
-			lc.err = err
-			return
-		}
-		lc.comp, lc.err = view.Components()
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return lc.comp, lc.err
+	gen  *tileGen
 }
 
 // tileGen renders one window of the deterministic surface for one
-// (scene, seed): a homogeneous convolution, or an inhomogeneous blend
-// through the tile-sparse engine. Safe for concurrent use.
+// (scene, level, seed): a homogeneous convolution, or an inhomogeneous
+// blend through the tile-sparse engine. Safe for concurrent use.
 type tileGen struct {
 	conv    *convgen.Generator // homogeneous scenes
 	inhomo  *inhomo.Generator  // plate/point scenes
@@ -190,49 +153,53 @@ func renderWindow[F simd.Float](g *tileGen, win window) []F {
 }
 
 // generator returns the (scene, level, seed) tile generator, designing
-// the level's kernels on first use. ctx bounds the wait: Once.Do can
-// park a burst of first requests behind one kernel design, and a caller
-// whose deadline lapsed while parked should not then start building a
-// per-seed generator it will never use.
+// the level's kernels and building its generator on first use.
+// Concurrent callers for the same level share one design: the loser of
+// the Once race parks until the winner's design finishes, so ctx is
+// accepted (and checked after the wait) even though the design itself
+// is CPU-bound and runs to completion once started.
 func (e *sceneEntry) generator(ctx context.Context, level int, seed uint64) (*tileGen, error) {
-	comp, err := e.components(ctx, level)
+	e.compMu.Lock()
+	lc, ok := e.comps[level]
+	if !ok {
+		lc = &levelComponents{}
+		e.comps[level] = lc
+	}
+	e.compMu.Unlock()
+	lc.once.Do(func() { lc.gen, lc.err = e.buildLevel(level) })
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if lc.err != nil {
+		return nil, lc.err
+	}
+	g := *lc.gen
+	if g.conv != nil {
+		g.conv = g.conv.WithSeed(seed)
+	} else {
+		g.inhomo = g.inhomo.WithSeed(seed)
+	}
+	return &g, nil
+}
+
+// buildLevel designs the level's components and builds its generator.
+func (e *sceneEntry) buildLevel(level int) (*tileGen, error) {
+	view, err := e.Scene.AtLevel(level)
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	key := genKey{level, seed}
-	if g, ok := e.gens[key]; ok {
-		e.touch(key)
-		return g, nil
+	comp, err := view.Components()
+	if err != nil {
+		return nil, err
 	}
 	g := &tileGen{workers: e.genWorkers}
 	if comp.Blender == nil {
-		g.conv = convgen.NewGenerator(comp.Kernels[0], seed)
-	} else {
-		ig, err := inhomo.NewGenerator(comp.Kernels, comp.Blender, seed)
-		if err != nil {
-			return nil, err
-		}
-		ig.Workers = e.genWorkers
-		g.inhomo = ig
+		g.conv = convgen.NewGenerator(comp.Kernels[0], e.Scene.Seed)
+		return g, nil
 	}
-	e.gens[key] = g
-	e.order = append(e.order, key)
-	if len(e.order) > e.maxSeedGens {
-		old := e.order[0]
-		e.order = e.order[1:]
-		delete(e.gens, old)
+	if g.inhomo, err = inhomo.NewGenerator(comp.Kernels, comp.Blender, e.Scene.Seed); err != nil {
+		return nil, err
 	}
+	g.inhomo.Workers = e.genWorkers
 	return g, nil
-}
-
-func (e *sceneEntry) touch(key genKey) {
-	for i, k := range e.order {
-		if k == key {
-			copy(e.order[i:], e.order[i+1:])
-			e.order[len(e.order)-1] = key
-			return
-		}
-	}
 }

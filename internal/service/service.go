@@ -15,11 +15,11 @@
 //	GET  /healthz                         liveness
 //	GET  /metrics                         Prometheus text metrics
 //
-// Layering (DESIGN.md §11, §14): scene registry (kernel design, once
-// per scene and pyramid level) → per-(level, seed) generator cache →
-// byte-bounded two-tier tile LRU (coarse levels pinned) → bounded
-// worker pool with queue-depth admission control, plus a subordinate
-// best-effort neighbor prefetcher.
+// Layering (DESIGN.md §11, §14): scene registry (kernel design and one
+// generator, once per scene and pyramid level, reseeded per request) →
+// byte-bounded tile LRU → bounded worker pool with queue-depth
+// admission control, plus a subordinate best-effort neighbor
+// prefetcher.
 package service
 
 import (
@@ -54,32 +54,16 @@ type Config struct {
 	// (defaults 4096 and 4M samples = 16 MiB of f32).
 	MaxTileEdge    int
 	MaxTileSamples int
-	// MaxScenes bounds the registry (default 1024).
-	MaxScenes int
 	// GenWorkers is the intra-tile parallelism of one render (default
 	// 1: the pool already parallelizes across requests, and one worker
 	// per render keeps tail latency flat under load).
 	GenWorkers int
-	// MaxSeedGens bounds the per-scene cache of per-(level, seed)
-	// generators (default 32).
-	MaxSeedGens int
 	// TileEdge is the fixed edge of pyramid-route tiles (default 256,
 	// clamped to MaxTileEdge/MaxTileSamples).
 	TileEdge int
 	// MaxLevel bounds the pyramid depth served by /tile/{z}/...
 	// (default 8, capped at core.MaxPyramidLevel).
 	MaxLevel int
-	// PinLevel is the coarsest-tier admission threshold: tiles at
-	// levels >= PinLevel are charged to the pinned cache budget
-	// (default 2); negative disables pinning. Level 0 cannot be pinned
-	// — pinning everything is the same as not pinning.
-	PinLevel int
-	// PinCacheBytes bounds the pinned tile tier (default 32 MiB; <= 0
-	// folds pinned tiles into the main budget).
-	PinCacheBytes int64
-	// PrefetchWorkers sizes the background neighbor-prefetch pool
-	// (default 1 — prefetch is strictly subordinate to foreground).
-	PrefetchWorkers int
 	// PrefetchQueue bounds queued prefetch jobs (default 32; negative
 	// disables prefetching entirely).
 	PrefetchQueue int
@@ -88,9 +72,6 @@ type Config struct {
 	// and scene registrations fan out to every peer. The Server does
 	// not own the Cluster's lifecycle — the caller Starts and Closes it.
 	Cluster *cluster.Cluster
-	// FanoutTimeout bounds the whole scene-registration fan-out
-	// (default 5s).
-	FanoutTimeout time.Duration
 	// Flags echoes the command-line flags in effect, verbatim, on
 	// GET /v1/info. Purely informational.
 	Flags map[string]string
@@ -117,14 +98,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxTileSamples <= 0 {
 		c.MaxTileSamples = 4 << 20
 	}
-	if c.MaxScenes <= 0 {
-		c.MaxScenes = 1024
-	}
 	if c.GenWorkers <= 0 {
 		c.GenWorkers = 1
-	}
-	if c.MaxSeedGens <= 0 {
-		c.MaxSeedGens = 32
 	}
 	if c.TileEdge <= 0 {
 		c.TileEdge = 256
@@ -141,23 +116,14 @@ func (c Config) withDefaults() Config {
 	if c.MaxLevel > core.MaxPyramidLevel {
 		c.MaxLevel = core.MaxPyramidLevel
 	}
-	if c.PinLevel == 0 {
-		c.PinLevel = 2
-	}
-	if c.PinCacheBytes == 0 {
-		c.PinCacheBytes = 32 << 20
-	}
-	if c.PrefetchWorkers <= 0 {
-		c.PrefetchWorkers = 1
-	}
 	if c.PrefetchQueue == 0 {
 		c.PrefetchQueue = 32
 	}
-	if c.FanoutTimeout <= 0 {
-		c.FanoutTimeout = 5 * time.Second
-	}
 	return c
 }
+
+// maxScenes bounds the registry.
+const maxScenes = 1024
 
 // Server is the daemon's state: registry, caches, worker pool, metrics.
 // Create with New, serve Handler() from an http.Server, and Close after
@@ -185,8 +151,8 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		reg:     newRegistry(cfg.MaxScenes),
-		cache:   newTileCache(cfg.CacheBytes, cfg.PinCacheBytes),
+		reg:     newRegistry(maxScenes),
+		cache:   newTileCache(cfg.CacheBytes),
 		pool:    par.NewPool(cfg.Workers, cfg.QueueDepth),
 		met:     newMetrics(),
 		cluster: cfg.Cluster,
@@ -199,7 +165,8 @@ func New(cfg Config) *Server {
 		s.peerClient = &http.Client{}
 	}
 	if cfg.PrefetchQueue > 0 {
-		s.prefetch = par.NewPool(cfg.PrefetchWorkers, cfg.PrefetchQueue)
+		// One worker: prefetch is strictly subordinate to foreground.
+		s.prefetch = par.NewPool(1, cfg.PrefetchQueue)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/scene", s.instrument("scene_post", s.handleScenePost))
@@ -287,7 +254,7 @@ func (s *Server) handleScenePost(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("scene body: %v", err))
 		return
 	}
-	entry, created, err := s.reg.register(body, s.cfg.GenWorkers, s.cfg.MaxSeedGens)
+	entry, created, err := s.reg.register(body, s.cfg.GenWorkers)
 	if err != nil {
 		if err == errRegistryFull {
 			writeError(w, http.StatusInsufficientStorage,
@@ -346,10 +313,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.met.writePrometheus(w, append([]gaugeFn{
 		{"rrsd_queue_depth", "Renders accepted but not yet started.", func() int64 { return int64(s.pool.QueueDepth()) }},
 		{"rrsd_scenes", "Scenes registered.", func() int64 { return int64(s.reg.len()) }},
-		{"rrsd_tile_cache_bytes", "Bytes held by the tile LRU (both tiers).", s.cache.bytes},
-		{"rrsd_tile_cache_entries", "Entries held by the tile LRU (both tiers).", func() int64 { return int64(s.cache.len()) }},
-		{"rrsd_tile_cache_pinned_bytes", "Bytes held by the pinned (coarse-level) tier.", s.cache.pinnedBytes},
-		{"rrsd_tile_cache_pinned_entries", "Entries held by the pinned (coarse-level) tier.", func() int64 { return int64(s.cache.pinnedLen()) }},
+		{"rrsd_tile_cache_bytes", "Bytes held by the tile LRU.", s.cache.bytes},
+		{"rrsd_tile_cache_entries", "Entries held by the tile LRU.", func() int64 { return int64(s.cache.len()) }},
 		{"rrsd_prefetch_queue_depth", "Prefetch jobs accepted but not yet started.", func() int64 {
 			if s.prefetch == nil {
 				return 0

@@ -3,13 +3,20 @@ package service
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"roughsurface/internal/approx"
+	"roughsurface/internal/convgen"
 	"roughsurface/internal/core"
 	"roughsurface/internal/grid"
+	"roughsurface/internal/inhomo"
+	"roughsurface/internal/par"
+	"roughsurface/internal/simd"
 )
 
 // The request fixtures. scripts/check.sh and the core fuzz seeds use
@@ -80,43 +87,112 @@ func TestSceneIDCanonicalization(t *testing.T) {
 func TestRegistryRejectsDFTAndBounds(t *testing.T) {
 	r := newRegistry(1)
 	if _, _, err := r.register([]byte(`{"nx":64,"ny":64,"method":"homogeneous","generator":"dft",
-		"spectrum":{"family":"gaussian","h":1,"cl":8}}`), 1, 4); err == nil {
+		"spectrum":{"family":"gaussian","h":1,"cl":8}}`), 1); err == nil {
 		t.Error("dft scene registered; want rejection")
 	}
-	if _, created, err := r.register([]byte(fixtureHomog), 1, 4); err != nil || !created {
+	if _, created, err := r.register([]byte(fixtureHomog), 1); err != nil || !created {
 		t.Fatalf("first register: created=%v err=%v", created, err)
 	}
 	// Idempotent re-register of the same content succeeds even at cap.
-	if _, created, err := r.register([]byte(fixtureHomog), 1, 4); err != nil || created {
+	if _, created, err := r.register([]byte(fixtureHomog), 1); err != nil || created {
 		t.Fatalf("re-register: created=%v err=%v; want existing entry", created, err)
 	}
-	if _, _, err := r.register([]byte(fixturePlate), 1, 4); err != errRegistryFull {
+	if _, _, err := r.register([]byte(fixturePlate), 1); err != errRegistryFull {
 		t.Errorf("register over cap: err=%v, want errRegistryFull", err)
 	}
 }
 
-func TestSeedGeneratorLRUBounded(t *testing.T) {
+// TestLevelGeneratorServesEverySeed: one (scene, level) generator,
+// reseeded per request, serves interleaved seeds concurrently, and every
+// window is bit-identical to a render from a generator built for that
+// seed alone — for both fixtures' levels 0 and 1 at both precisions,
+// and for one kernel on the FFT engine.
+func TestLevelGeneratorServesEverySeed(t *testing.T) {
+	ctx := context.Background()
 	r := newRegistry(4)
-	e, _, err := r.register([]byte(fixtureHomog), 1, 2)
+	win := window{x0: -40, y0: -24, nx: 96, ny: 80}
+	type job struct {
+		name   string
+		shared func() (*tileGen, error) // the level generator, reseeded
+		ref    *tileGen                 // built for the seed alone
+		f32    bool
+	}
+	var jobs []job
+	add := func(name string, shared func() (*tileGen, error), ref *tileGen) {
+		for _, f32 := range []bool{false, true} {
+			jobs = append(jobs, job{fmt.Sprintf("%s f32=%v", name, f32), shared, ref, f32})
+		}
+	}
+	homog, _, err := r.register([]byte(fixtureHomog), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := uint64(1); seed <= 5; seed++ {
-		if _, err := e.generator(context.Background(), 0, seed); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Levels count against the same LRU: generators are sized by the
-	// kernel they wrap, not by which lattice they sample.
-	if _, err := e.generator(context.Background(), 1, 1); err != nil {
+	plate, _, err := r.register([]byte(fixturePlate), 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	e.mu.Lock()
-	n := len(e.gens)
-	e.mu.Unlock()
-	if n > 2 {
-		t.Errorf("seed generator cache holds %d entries, cap 2", n)
+	lg, err := homog.generator(ctx, 0, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	k := lg.conv.Kernel()
+	fftLevel := convgen.NewGenerator(k, 0)
+	fftLevel.Engine = convgen.EngineFFT
+	for _, seed := range []uint64{1, 2, 3, 1 << 40} {
+		for _, e := range []*sceneEntry{homog, plate} {
+			for level := 0; level <= 1; level++ {
+				view, err := e.Scene.AtLevel(level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				comp, err := view.Components()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := &tileGen{workers: 2}
+				if comp.Blender == nil {
+					ref.conv = convgen.NewGenerator(comp.Kernels[0], seed)
+				} else {
+					ref.inhomo = inhomo.MustGenerator(comp.Kernels, comp.Blender, seed)
+					ref.inhomo.Workers = 2
+				}
+				add(fmt.Sprintf("%s level %d seed %d", e.Scene.Method, level, seed),
+					func() (*tileGen, error) { return e.generator(ctx, level, seed) }, ref)
+			}
+		}
+		ref := &tileGen{conv: convgen.NewGenerator(k, seed), workers: 2}
+		ref.conv.Engine = convgen.EngineFFT
+		add(fmt.Sprintf("fft seed %d", seed),
+			func() (*tileGen, error) { return &tileGen{conv: fftLevel.WithSeed(seed), workers: 2}, nil }, ref)
+	}
+	par.ForEach(len(jobs), 4, func(i int) {
+		j := jobs[i]
+		g, err := j.shared()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !slices.Equal(renderBits(g, win, j.f32), renderBits(j.ref, win, j.f32)) {
+			t.Errorf("%s: the shared level generator's window differs from a per-seed generator's", j.name)
+		}
+	})
+}
+
+// renderBits renders win at the requested precision and returns each
+// sample's float64 bits (widening float32 is exact).
+func renderBits(g *tileGen, win window, f32 bool) []uint64 {
+	if f32 {
+		return widenBits(renderWindow[float32](g, win))
+	}
+	return widenBits(renderWindow[float64](g, win))
+}
+
+func widenBits[F simd.Float](data []F) []uint64 {
+	out := make([]uint64, len(data))
+	for i, v := range data {
+		out[i] = math.Float64bits(float64(v))
+	}
+	return out
 }
 
 func TestParseWindow(t *testing.T) {
@@ -140,7 +216,7 @@ func TestParseWindow(t *testing.T) {
 func TestTileCacheEvictsByBytes(t *testing.T) {
 	// Each entry charges body + key + ctype + entryOverhead = 300+1+0+128
 	// = 429 bytes; a 1000-byte budget holds two but not three.
-	c := newTileCache(1000, 0)
+	c := newTileCache(1000)
 	body := func(n int) []byte { return make([]byte, n) }
 	c.add(&cacheEntry{key: "a", body: body(300)})
 	c.add(&cacheEntry{key: "b", body: body(300)})
@@ -173,7 +249,7 @@ func TestTileCacheEvictsByBytes(t *testing.T) {
 // bodies cannot pack the cache beyond its budget because keys and
 // fixed per-entry overhead are charged too.
 func TestTileCacheChargesOverhead(t *testing.T) {
-	c := newTileCache(1<<10, 0)
+	c := newTileCache(1 << 10)
 	for i := 0; i < 100; i++ {
 		c.add(&cacheEntry{key: strings.Repeat("k", 30) + string(rune('a'+i)), body: []byte{1}})
 	}
@@ -187,56 +263,11 @@ func TestTileCacheChargesOverhead(t *testing.T) {
 	}
 }
 
-func TestTileCachePinnedTier(t *testing.T) {
-	// Main tier fits two 429-byte entries, pinned tier fits two.
-	c := newTileCache(1000, 1000)
-	body := func(n int) []byte { return make([]byte, n) }
-	c.add(&cacheEntry{key: "p", body: body(300), pinned: true})
-	c.add(&cacheEntry{key: "q", body: body(300), pinned: true})
-	// A flood of unpinned tiles must not evict the pinned ones.
-	for _, k := range []string{"a", "b", "c", "d", "e"} {
-		c.add(&cacheEntry{key: k, body: body(300)})
-	}
-	for _, k := range []string{"p", "q"} {
-		if _, ok := c.get(k); !ok {
-			t.Errorf("pinned %q evicted by unpinned churn", k)
-		}
-	}
-	if got := c.pinnedLen(); got != 2 {
-		t.Errorf("pinned tier holds %d entries, want 2", got)
-	}
-	if got, want := c.pinnedBytes(), int64(2*429); got != want {
-		t.Errorf("pinned tier charges %d bytes, want %d", got, want)
-	}
-	// Pinned entries evict among themselves when their own budget fills.
-	c.add(&cacheEntry{key: "r", body: body(300), pinned: true})
-	if _, ok := c.get("p"); ok {
-		t.Error("pinned LRU did not evict its own oldest entry")
-	}
-	if _, ok := c.get("r"); !ok {
-		t.Error("new pinned entry missing")
-	}
-	// No pinned budget: pinned adds compete in the main tier instead of
-	// vanishing.
-	c2 := newTileCache(1000, 0)
-	c2.add(&cacheEntry{key: "p", body: body(300), pinned: true})
-	if _, ok := c2.get("p"); !ok {
-		t.Error("pinned add dropped when pinned tier is disabled")
-	}
-	if got := c2.pinnedLen(); got != 0 {
-		t.Errorf("disabled pinned tier holds %d entries", got)
-	}
-}
-
 func TestTileCacheDisabled(t *testing.T) {
-	c := newTileCache(-1, 1<<20)
+	c := newTileCache(-1)
 	c.add(&cacheEntry{key: "a", body: []byte{1}})
 	if _, ok := c.get("a"); ok {
 		t.Error("disabled cache stored an entry")
-	}
-	c.add(&cacheEntry{key: "p", body: []byte{1}, pinned: true})
-	if _, ok := c.get("p"); ok {
-		t.Error("disabled cache stored a pinned entry")
 	}
 }
 

@@ -258,7 +258,7 @@ func (s *Server) serveTile(w http.ResponseWriter, r *http.Request, entry *sceneE
 				if p.format == formatF32 {
 					wantLen = 4 * win.nx * win.ny
 				}
-				if e, ownerCache, ok := s.fetchFromOwner(r.Context(), r.URL.RequestURI(), owner, level, key, wantLen); ok {
+				if e, ownerCache, ok := s.fetchFromOwner(r.Context(), r.URL.RequestURI(), owner, key, wantLen); ok {
 					w.Header().Set(headerServedBy, owner.Name)
 					writeTile(w, e, win, ownerCache)
 					return
@@ -279,7 +279,7 @@ func (s *Server) serveTile(w http.ResponseWriter, r *http.Request, entry *sceneE
 		}
 		res := s.renderTile(ctx, entry, level, p.seed, win, p.format, p.precision)
 		if res.err == nil {
-			s.cache.add(&cacheEntry{key: key, body: res.body, ctype: res.ctype, pinned: s.pinLevel(level)})
+			s.cache.add(&cacheEntry{key: key, body: res.body, ctype: res.ctype})
 		}
 		done <- res
 	})
@@ -313,14 +313,6 @@ func (s *Server) serveTile(w http.ResponseWriter, r *http.Request, entry *sceneE
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "tile deadline exceeded")
 	}
-}
-
-// pinLevel reports whether tiles at this level land in the pinned
-// cache tier: levels ≥ PinLevel are coarse, tiny relative to the area
-// they cover, and reheated by every zoom-out, so they get a budget the
-// level-0 flood cannot evict.
-func (s *Server) pinLevel(level int) bool {
-	return s.cfg.PinLevel >= 0 && level >= s.cfg.PinLevel
 }
 
 // schedulePrefetch enqueues best-effort renders of the four lattice
@@ -358,7 +350,7 @@ func (s *Server) schedulePrefetch(ctx context.Context, entry *sceneEntry, z int,
 			if res.err != nil {
 				return // best effort: the foreground path will report real errors
 			}
-			s.cache.add(&cacheEntry{key: key, body: res.body, ctype: res.ctype, pinned: s.pinLevel(z)})
+			s.cache.add(&cacheEntry{key: key, body: res.body, ctype: res.ctype})
 			s.met.prefetchRendered.Add(1)
 		})
 		if !accepted {

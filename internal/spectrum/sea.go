@@ -3,6 +3,7 @@ package spectrum
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"roughsurface/internal/approx"
 )
@@ -20,19 +21,22 @@ import (
 //
 //	h² = ∫S dk = α·U⁴/(4β·g²)
 //
-// The autocorrelation has no closed form; it is precomputed at
-// construction as the radial Hankel transform ρ(r) = ∫S(k)·J₀(kr) dk
-// on a dense table and interpolated. Unlike the three paper families,
-// ρ oscillates (swell structure), so the reported correlation length is
-// the first 1/e crossing.
+// The autocorrelation has no closed form; it is the radial Hankel
+// transform ρ(r) = ∫S(k)·J₀(kr) dk, tabulated on a dense grid of radii
+// on the first Autocorrelation call and interpolated. Unlike the three
+// paper families, ρ oscillates (swell structure), so the reported
+// correlation length is the first 1/e crossing; construction evaluates
+// ρ on the table's radii only up to that crossing, because kernel
+// design reads nothing else.
 type Sea struct {
 	u, g float64
 	h    float64
 	kp   float64
 
-	dr    float64
-	rho   []float64 // ρ at radii i·dr
-	clEst float64
+	dr      float64
+	clEst   float64
+	rhoOnce sync.Once
+	rho     []float64 // ρ at radii i·dr, i ≤ seaTab; built by table
 }
 
 // PM spectral constants.
@@ -40,6 +44,10 @@ const (
 	pmAlpha = 8.1e-3
 	pmBeta  = 0.74
 )
+
+// seaTab is the last index of the ρ table: it reaches 64 peak
+// wavelengths in steps of 0.02/k_p.
+const seaTab = 3200
 
 // seaKMax bounds spectral integrals at 50·k_p; the k^(−3) tail beyond
 // carries < 0.03% of the variance.
@@ -58,25 +66,23 @@ func NewSea(u, g float64) (*Sea, error) {
 	s.kp = g / (u * u)
 	s.h = math.Sqrt(pmAlpha/(4*pmBeta)) * u * u / g
 
-	// Tabulate ρ out to 64 peak wavelengths in steps of 0.02/k_p.
 	s.dr = 0.02 / s.kp
-	const nTab = 3200
-	s.rho = make([]float64, nTab+1)
-	for i := range s.rho {
-		s.rho[i] = s.hankel(float64(i) * s.dr)
-	}
-	// First 1/e crossing of the tabulated ρ.
-	target := s.rho[0] / math.E
-	s.clEst = float64(nTab) * s.dr
-	for i := 1; i < len(s.rho); i++ {
-		if s.rho[i] <= target {
+	// First 1/e crossing of ρ on the table's radii, with the table's
+	// arithmetic: it sits near index 77 at every U.
+	prev := s.hankel(0)
+	target := prev / math.E
+	s.clEst = float64(seaTab) * s.dr
+	for i := 1; i <= seaTab; i++ {
+		cur := s.hankel(float64(i) * s.dr)
+		if cur <= target {
 			frac := 0.0
-			if !approx.Exact(s.rho[i-1], s.rho[i]) {
-				frac = (s.rho[i-1] - target) / (s.rho[i-1] - s.rho[i])
+			if !approx.Exact(prev, cur) {
+				frac = (prev - target) / (prev - cur)
 			}
 			s.clEst = (float64(i-1) + frac) * s.dr
 			break
 		}
+		prev = cur
 	}
 	return s, nil
 }
@@ -132,16 +138,28 @@ func (s *Sea) Density(kx, ky float64) float64 {
 	return s.radial(k) / (2 * math.Pi * k)
 }
 
-// Autocorrelation implements Spectrum via the precomputed radial table.
+// table returns ρ at radii i·dr, i ≤ seaTab, tabulating it on first use.
+func (s *Sea) table() []float64 {
+	s.rhoOnce.Do(func() {
+		s.rho = make([]float64, seaTab+1)
+		for i := range s.rho {
+			s.rho[i] = s.hankel(float64(i) * s.dr)
+		}
+	})
+	return s.rho
+}
+
+// Autocorrelation implements Spectrum via the radial table.
 func (s *Sea) Autocorrelation(x, y float64) float64 {
+	rho := s.table()
 	r := math.Hypot(x, y)
 	idx := r / s.dr
 	i := int(idx)
-	if i >= len(s.rho)-1 {
+	if i >= len(rho)-1 {
 		return 0 // beyond 64 peak wavelengths: negligible
 	}
 	frac := idx - float64(i)
-	return s.rho[i]*(1-frac) + s.rho[i+1]*frac
+	return rho[i]*(1-frac) + rho[i+1]*frac
 }
 
 // SigmaH implements Spectrum with the analytic PM variance.

@@ -9,8 +9,8 @@ import (
 	"roughsurface/internal/fft"
 )
 
-// The sea spectrum's construction tabulates a Hankel transform; share
-// one instance across tests.
+// The sea spectrum's first Autocorrelation call tabulates a Hankel
+// transform; share one instance across tests.
 var (
 	seaOnce sync.Once
 	sea5    *Sea
@@ -142,5 +142,29 @@ func TestSeaWeightDFTMatchesAutocorrelation(t *testing.T) {
 	// oscillatory swell tail, and the table interpolation.
 	if rmse > 0.08 {
 		t.Errorf("sea DFT(w) vs ρ relative RMSE %g", rmse)
+	}
+}
+
+// TestSeaCorrelationLengthMatchesTable: construction scans ρ only up to
+// its first 1/e crossing, and the crossing it reports equals, bit for
+// bit, the one found on the full table Autocorrelation builds.
+func TestSeaCorrelationLengthMatchesTable(t *testing.T) {
+	for _, s := range []*Sea{testSea(t), MustSea(20, 9.81)} {
+		s.Autocorrelation(0, 0)
+		target := s.rho[0] / math.E
+		want := float64(len(s.rho)-1) * s.dr
+		for i := 1; i < len(s.rho); i++ {
+			if s.rho[i] <= target {
+				frac := 0.0
+				if !approx.Exact(s.rho[i-1], s.rho[i]) {
+					frac = (s.rho[i-1] - target) / (s.rho[i-1] - s.rho[i])
+				}
+				want = (float64(i-1) + frac) * s.dr
+				break
+			}
+		}
+		if got, _ := s.CorrelationLengths(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("U=%g: cl = %v, the table's crossing is %v", s.WindSpeed(), got, want)
+		}
 	}
 }

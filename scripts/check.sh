@@ -138,7 +138,8 @@ step_end
 # and /metrics must expose the per-level hit/miss counters. A second
 # daemon with -gen-workers 4 must reproduce the golden tile exactly
 # (detflow guards the determinism contract statically; this leg alone
-# guards its float-reduction half, summation order across workers).
+# guards its float-reduction half, summation order across workers),
+# after its level generators have already served another seed.
 # Finally SIGTERM must drain and exit 0 within the deadline.
 step_begin "rrsd smoke (healthz, golden tile, pyramid route, worker determinism, graceful shutdown)"
 GOLDEN_TILE_SHA256="c489266437db4399309159e8e96ed6998423d7d28d5740b2ce569abeb6c36688"
@@ -187,6 +188,9 @@ grep -q 'rrsd_tile_level_misses_total{level="2"} 1' <<<"$METRICS"
 # with -gen-workers 4 must produce the golden tile byte-for-byte
 # identical to the single-worker render. No static check covers float
 # summation order; this leg carries that half of the contract alone.
+# The daemon first serves the golden window at seed=2 (whose bytes must
+# differ) and one z=2 tile, so the golden tile renders through level
+# generators that have already been reseeded for another seed.
 "$SMOKE_DIR/rrsd" -addr 127.0.0.1:0 -portfile "$SMOKE_DIR/port4" -tile-edge 64 -gen-workers 4 -q &
 RRSD4_PID=$!
 for _ in $(seq 1 100); do
@@ -198,6 +202,12 @@ RRSD4_ADDR="$(cat "$SMOKE_DIR/port4")"
 SCENE_ID4="$(curl -sf -X POST --data "$SCENE" "http://$RRSD4_ADDR/v1/scene" \
     | sed -E 's/.*"id":"([0-9a-f]+)".*/\1/')"
 [[ "$SCENE_ID4" == "$SCENE_ID" ]] || { echo "scene id depends on workers: $SCENE_ID4" >&2; exit 1; }
+curl -sf "http://$RRSD4_ADDR/v1/scene/$SCENE_ID4/tile/0,0,64x64?seed=2&format=f32" \
+    -o "$SMOKE_DIR/tile-w4-seed2.f32"
+if cmp -s "$SMOKE_DIR/tile.f32" "$SMOKE_DIR/tile-w4-seed2.f32"; then
+    echo "the seed=2 tile equals the seed=1 golden tile" >&2; exit 1
+fi
+curl -sf "http://$RRSD4_ADDR/v1/scene/$SCENE_ID4/tile/2/0,0?seed=2&format=f32" -o /dev/null
 curl -sf "http://$RRSD4_ADDR/v1/scene/$SCENE_ID4/tile/0,0,64x64?seed=1&format=f32" \
     -o "$SMOKE_DIR/tile-w4.f32"
 cmp "$SMOKE_DIR/tile.f32" "$SMOKE_DIR/tile-w4.f32" \
